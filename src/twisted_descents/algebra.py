@@ -60,7 +60,8 @@ class _Linear:
         for key, coeff in items:
             if not isinstance(coeff, int) or isinstance(coeff, bool):
                 raise ValueError(f"coefficient {coeff!r} is not an integer")
-            acc[self._check_key(key)] = acc.get(key, 0) + coeff
+            key = self._check_key(key)
+            acc[key] = acc.get(key, 0) + coeff
         self.terms = _clean(acc)
 
     @classmethod
@@ -154,6 +155,8 @@ class TensorElement(_Linear):
 
     @staticmethod
     def _check_key(key):
+        if not isinstance(key, tuple) or len(key) != 2:
+            raise ValueError(f"tensor key {key!r} is not a pair of SetCompositions")
         left, right = key
         TDElement._check_key(left)
         TDElement._check_key(right)
@@ -243,17 +246,15 @@ def coproduct(x: TDElement, max_terms: int = MAX_TERMS) -> TensorElement:
     Each term 1_(S1,...,Sk) contributes one summand per family of splits
     Ti ⊔ Ui = Si; empty parts are dropped from either leg.
     """
-    budget = max_terms
+    requested = sum(1 << len(sc.support) for sc in x.terms)
+    if requested > max_terms:
+        raise SizeLimitError(
+            f"coproduct would make {requested} terms (cap {max_terms})",
+            max_terms,
+            requested,
+        )
     acc: dict = {}
     for sc, coeff in x.terms.items():
-        cost = 1 << len(sc.support)
-        budget -= cost
-        if budget < 0:
-            raise SizeLimitError(
-                f"coproduct would exceed {max_terms} terms"
-                f" (term with support size {len(sc.support)})",
-                max_terms,
-            )
         for split in itertools.product(*(_block_splits(b) for b in sc.sets)):
             lsets = tuple(t for t, _ in split if t)
             rsets = tuple(u for _, u in split if u)

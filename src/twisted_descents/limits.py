@@ -22,8 +22,13 @@ ORACLE_SUPPORT_CAP = 4
 
 
 class SizeLimitError(Exception):
-    """An operation would exceed a configured size cap."""
+    """An operation would exceed a configured size cap.
 
-    def __init__(self, message: str, cap: int):
+    ``requested`` is the size the operation asked for, ``cap`` the limit it
+    broke; both are in the units of the message (elements, terms or degree).
+    """
+
+    def __init__(self, message: str, cap: int, requested: int):
         super().__init__(message)
         self.cap = cap
+        self.requested = requested

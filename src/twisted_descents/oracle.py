@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import Iterable
+from types import MappingProxyType
+from typing import Iterable, Mapping
 
 from .algebra import TDElement
 from .limits import ORACLE_SUPPORT_CAP, SizeLimitError
@@ -41,6 +42,10 @@ def b_product(u: BWord, v: BWord) -> BWord:
 
 def b_coproduct(u: BWord) -> dict[tuple[BWord, BWord], int]:
     """Split letter positions into complementary subsequences, all 2^k ways."""
+    return dict(_splits(u))
+
+
+def _splits(u: BWord) -> tuple[tuple[tuple[BWord, BWord], int], ...]:
     k = len(u.sets)
     out: dict[tuple[BWord, BWord], int] = {}
     for r in range(k + 1):
@@ -54,7 +59,7 @@ def b_coproduct(u: BWord) -> dict[tuple[BWord, BWord], int]:
                 SetComposition._make(rsets, u.support - lsup),
             )
             out[key] = out.get(key, 0) + 1
-    return out
+    return tuple(out.items())
 
 
 @lru_cache(maxsize=None)
@@ -66,6 +71,13 @@ def _words_of(universe: tuple[int, ...]) -> tuple[BWord, ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _coproducts_of(universe: tuple[int, ...]) -> Mapping[BWord, tuple]:
+    # Word -> its coproduct as immutable items; endo_convolution reads every
+    # word's coproduct once per call, so the table is built once per universe.
+    return MappingProxyType({w: _splits(w) for w in _words_of(universe)})
+
+
 def all_words(universe: Iterable[int], cap: int = ORACLE_SUPPORT_CAP) -> tuple[BWord, ...]:
     """Every word whose support is a subset of the universe."""
     ground = check_ground_set(universe)
@@ -74,6 +86,7 @@ def all_words(universe: Iterable[int], cap: int = ORACLE_SUPPORT_CAP) -> tuple[B
             f"refusing a word table over a {len(ground)}-element universe"
             f" (cap {cap})",
             cap,
+            len(ground),
         )
     return _words_of(tuple(sorted(ground)))
 
@@ -135,10 +148,11 @@ def characteristic_endo(s: Iterable[int], universe: Iterable[int]) -> Endomorphi
 def endo_convolution(f: Endomorphism, g: Endomorphism) -> Endomorphism:
     """m ∘ (f ⊗ g) ∘ δ, tabulated wordwise."""
     _require_same_universe(f, g)
+    coproducts = _coproducts_of(tuple(sorted(f.universe)))
     table = {}
     for w in f.table:
         img: BElement = {}
-        for (u, v), c in b_coproduct(w).items():
+        for (u, v), c in coproducts[w]:
             for wu, cu in f.table[u].items():
                 for wv, cv in g.table[v].items():
                     word = b_product(wu, wv)
@@ -193,7 +207,7 @@ def oracle_check_composition(
     ground = check_ground_set(universe if universe is not None else a.support | b.support)
     if len(ground) > cap:
         raise SizeLimitError(
-            f"oracle universe {sorted(ground)} exceeds cap {cap}", cap
+            f"oracle universe {sorted(ground)} exceeds cap {cap}", cap, len(ground)
         )
     lhs = endo_compose(represent(a, ground), represent(b, ground))
     rhs = endo_of(composition_product(basis(a), basis(b)), ground)

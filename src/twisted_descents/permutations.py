@@ -118,7 +118,3 @@ def young_subgroup(parts: Iterable[int]) -> Iterator[tuple[int, ...]]:
     for pieces in itertools.product(*(itertools.permutations(b) for b in blocks)):
         yield tuple(x for piece in pieces for x in piece)
 
-
-def apply_to_set(p: tuple[int, ...], s: frozenset[int]) -> frozenset[int]:
-    """The image p(S) of a subset of {1..n}."""
-    return frozenset(p[x - 1] for x in s)

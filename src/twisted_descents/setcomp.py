@@ -170,6 +170,7 @@ def enumerate_set_compositions(
             f"refusing to enumerate set compositions of a {len(ground)}-element set"
             f" (cap {cap})",
             cap,
+            len(ground),
         )
     n = len(ground)
     if n == 0:

@@ -115,20 +115,31 @@ def _row_fill(total: int, capacity: list[int]) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-def _matrices(rows: tuple[int, ...], cols: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Nonnegative integer matrices with the given row and column sums."""
+def _flattened_matrices(rows: tuple[int, ...], cols: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+    """Count the matrices with the given margins by their flattened nonzero entries.
 
-    def rec(i: int, remaining: list[int]):
-        if i == len(rows):
-            if all(r == 0 for r in remaining):
-                yield ()
-            return
-        for row in _row_fill(rows[i], remaining):
-            nxt = [r - v for r, v in zip(remaining, row)]
-            for rest in rec(i + 1, nxt):
-                yield (row,) + rest
-
-    yield from rec(0, list(cols))
+    Fills one row at a time; partial matrices that leave the same column
+    sums and the same flattened prefix are merged into one counted state.
+    The last row is forced to the remaining column sums.  Keys appear in the
+    order of their first matrix in row-major lexicographic order.  The
+    margins must have equal sums.
+    """
+    states: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {(cols, ()): 1}
+    for total in rows[:-1]:
+        nxt: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
+        for (remaining, prefix), count in states.items():
+            for row in _row_fill(total, remaining):
+                key = (
+                    tuple(r - v for r, v in zip(remaining, row)),
+                    prefix + tuple(v for v in row if v),
+                )
+                nxt[key] = nxt.get(key, 0) + count
+        states = nxt
+    out: dict[tuple[int, ...], int] = {}
+    for (remaining, prefix), count in states.items():
+        key = prefix + tuple(v for v in remaining if v)
+        out[key] = out.get(key, 0) + count
+    return out
 
 
 def solomon_compose(a: DescentElement, b: DescentElement) -> DescentElement:
@@ -143,9 +154,8 @@ def solomon_compose(a: DescentElement, b: DescentElement) -> DescentElement:
             if sum(c1) != sum(c2):
                 continue
             coeff = x1 * x2
-            for matrix in _matrices(c1, c2):
-                key = tuple(v for row in matrix for v in row if v)
-                acc[key] = acc.get(key, 0) + coeff
+            for key, count in _flattened_matrices(c1, c2).items():
+                acc[key] = acc.get(key, 0) + coeff * count
     return DescentElement._make({k: c for k, c in acc.items() if c})
 
 
@@ -157,9 +167,10 @@ def descent_basis_expand(
     ground = check_ground_set(s)
     if sum(c) != len(ground):
         raise ValueError(f"composition {c} has weight {sum(c)}, set has size {len(ground)}")
-    if c and multinomial(c) > max_terms:
+    size = multinomial(c)
+    if c and size > max_terms:
         raise SizeLimitError(
-            f"type {c} expands to {multinomial(c)} terms (cap {max_terms})", max_terms
+            f"type {c} expands to {size} terms (cap {max_terms})", max_terms, size
         )
     terms: dict[SetComposition, int] = {}
 
@@ -201,7 +212,7 @@ def descent_class(c: Iterable[int], cap: int = DESCENT_CLASS_CAP) -> GroupAlgebr
     c = check_composition(c)
     n = sum(c)
     if n > cap:
-        raise SizeLimitError(f"descent class of weight {n} exceeds cap {cap}", cap)
+        raise SizeLimitError(f"descent class of weight {n} exceeds cap {cap}", cap, n)
     return GroupAlgebraElement._make({p: 1 for p in _descent_class_perms(c)})
 
 
@@ -252,7 +263,7 @@ def fixed_space_check(n: int, cap: int = 5, max_terms: int = MAX_TERMS) -> bool:
     integer coefficients (constant on each type class).
     """
     if n > cap:
-        raise SizeLimitError(f"fixed-space check at weight {n} exceeds cap {cap}", cap)
+        raise SizeLimitError(f"fixed-space check at weight {n} exceeds cap {cap}", cap, n)
     if n < 1:
         raise ValueError("weight must be positive")
     comps_n = list(compositions(n))

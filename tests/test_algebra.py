@@ -47,6 +47,14 @@ def test_element_arithmetic():
         TDElement({sc({1}): "x"})
 
 
+def test_tensor_key_validation():
+    pair = (sc({1}), sc({2}))
+    assert TensorElement([(pair, 1), (pair, 2)]) == TensorElement({pair: 3})
+    for key in (3, (sc({1}),), pair + (sc({3}),), list(pair), (sc({1}), 2)):
+        with pytest.raises(ValueError):
+            TensorElement([(key, 1)])
+
+
 def test_convolution_examples():
     assert convolution(parse("[{3,5}]"), parse("[{1,4}]")) == parse("[{3,5}|{1,4}]")
     assert convolution(parse("[{1,2}]"), parse("[{1,2}]")) == ZERO
@@ -112,9 +120,15 @@ def test_coproduct_term_count_is_two_to_the_support():
 
 def test_coproduct_size_guard():
     x = basis(sc(set(range(1, 6))))
-    with pytest.raises(SizeLimitError):
+    with pytest.raises(SizeLimitError) as err:
         coproduct(x, max_terms=16)
+    assert (err.value.cap, err.value.requested) == (16, 32)
     assert len(coproduct(x, max_terms=32)) == 32
+    # the request counts every term of a multi-term element
+    y = x + basis(sc({6}))
+    with pytest.raises(SizeLimitError) as err:
+        coproduct(y, max_terms=32)
+    assert (err.value.cap, err.value.requested) == (32, 34)
 
 
 def test_tensor_convolution_examples():

@@ -65,8 +65,9 @@ def test_all_words_counts():
         )
         assert len(all_words(universe)) == expected
     assert len(all_words((1, 2, 3, 4))) == 150
-    with pytest.raises(SizeLimitError):
+    with pytest.raises(SizeLimitError) as err:
         all_words(range(1, 12))
+    assert (err.value.cap, err.value.requested) == (4, 11)
 
 
 def test_characteristic_endo_projects():
@@ -150,8 +151,9 @@ def test_oracle_agrees_exhaustively_on_three_points():
 
 
 def test_oracle_check_rejects_oversized_universe():
-    with pytest.raises(SizeLimitError):
+    with pytest.raises(SizeLimitError) as err:
         oracle_check_composition(word({1}), word({1}), universe=range(1, 9))
+    assert (err.value.cap, err.value.requested) == (4, 8)
 
 
 def test_endomorphism_equality():

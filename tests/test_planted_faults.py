@@ -1,0 +1,100 @@
+"""Planted faults and brute-force models for the graded sweep kernels.
+
+The reciprocity sweep reads only one support-graded piece of each δ(h), the
+oracle memoises word coproducts, and Solomon's rule counts matrices through a
+merged-state DP.  Each test here either breaks an input on purpose and checks
+that the law notices, or compares a kernel with a slow model written below.
+"""
+
+import itertools
+
+import pytest
+
+from twisted_descents import verify
+from twisted_descents.algebra import TensorElement, basis
+from twisted_descents.oracle import (
+    all_words,
+    b_coproduct,
+    characteristic_endo,
+    endo_convolution,
+)
+from twisted_descents.setcomp import SetComposition, compositions
+from twisted_descents.solomon import DescentElement, solomon_compose
+from twisted_descents.textio import render
+
+H = SetComposition([[1, 2], [3]])
+LEFT_SUPPORTS = [
+    frozenset(s) for r in range(4) for s in itertools.combinations((1, 2, 3), r)
+]
+
+
+def _faulty_coproduct(real, left, mode):
+    """δ with one term of δ(H), the first whose left leg has support ``left``, broken."""
+
+    def coproduct(x, *args, **kwargs):
+        out = real(x, *args, **kwargs)
+        if set(x.terms) != {H}:
+            return out
+        terms = dict(out.terms)
+        victim = next(k for k in terms if k[0].support == left)
+        if mode == "drop":
+            del terms[victim]
+        else:
+            terms[victim] += 1
+        return TensorElement(terms)
+
+    return coproduct
+
+
+@pytest.mark.parametrize("mode", ["drop", "coefficient"])
+@pytest.mark.parametrize("left", LEFT_SUPPORTS, ids=lambda s: "A=" + "".join(map(str, sorted(s))))
+def test_reciprocity_sweep_catches_a_broken_coproduct_term(monkeypatch, left, mode):
+    monkeypatch.setattr(verify, "coproduct", _faulty_coproduct(verify.coproduct, left, mode))
+    results = verify.suite_reciprocity(verify.Config(max_n=3, trials=0))
+    result = next(r for r in results if r.law == "matched-support")
+    assert not result.ok
+    # every h before H in the sweep passed, so the fault is what failed
+    assert f"h={render(basis(H))}" in result.detail
+
+
+def _margin_matrices(rows, cols):
+    """Every nonnegative integer matrix with the given margins, by brute force."""
+    candidates = [
+        [v for v in itertools.product(range(r + 1), repeat=len(cols)) if sum(v) == r]
+        for r in rows
+    ]
+    for matrix in itertools.product(*candidates):
+        if all(sum(col) == c for col, c in zip(zip(*matrix), cols)):
+            yield matrix
+
+
+def _solomon_by_brute_force(c1, c2):
+    out = {}
+    for matrix in _margin_matrices(c1, c2):
+        key = tuple(v for row in matrix for v in row if v)
+        out[key] = out.get(key, 0) + 1
+    return out
+
+
+def test_solomon_matches_brute_force_margin_matrices():
+    for m in range(6):
+        comps = list(compositions(m))
+        for c1, c2 in itertools.product(comps, repeat=2):
+            got = solomon_compose(DescentElement({c1: 1}), DescentElement({c2: 1}))
+            assert got.terms == _solomon_by_brute_force(c1, c2), (c1, c2)
+
+
+def test_mutating_a_word_coproduct_leaves_the_memo_intact():
+    universe = (1, 2)
+    w = SetComposition([[2], [1]])
+    split = (SetComposition([[1]]), SetComposition([[2]]))
+    f, g = characteristic_endo((1,), universe), characteristic_endo((2,), universe)
+    before = endo_convolution(f, g)
+    assert before(w) == {SetComposition([[1], [2]]): 1}
+    for word in all_words(universe):
+        d = b_coproduct(word)
+        for key in d:
+            d[key] = 99
+    d = b_coproduct(w)
+    assert d[split] == 1 and sum(d.values()) == 4
+    assert endo_convolution(f, g) == before

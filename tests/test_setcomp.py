@@ -77,6 +77,7 @@ def test_enumeration_cap():
     with pytest.raises(SizeLimitError) as err:
         list(enumerate_set_compositions(range(1, 12)))
     assert err.value.cap == 10
+    assert err.value.requested == 11
     assert "10" in str(err.value)
     # explicit caps override the default
     with pytest.raises(SizeLimitError):

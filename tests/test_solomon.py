@@ -41,6 +41,9 @@ def test_descent_element_validation():
         DescentElement({(0, 2): 1})
     assert DescentElement({}).weight is None
     assert one((2, 1)).weight == 3
+    # list keys are normalised before they are looked up and stored
+    assert DescentElement([([1, 1], 1), ((1, 1), 2)]) == DescentElement({(1, 1): 3})
+    assert GroupAlgebraElement([([2, 1], 1), ((2, 1), -1)]) == GroupAlgebraElement({})
 
 
 def test_group_algebra_validation():
@@ -92,8 +95,9 @@ def test_orbit_sum_examples():
     assert orbit_sum((2,)) == parse("[{1,2}]")
     assert len(orbit_sum((2, 1))) == 3
     assert len(orbit_sum((1, 1, 1))) == 6
-    with pytest.raises(SizeLimitError):
+    with pytest.raises(SizeLimitError) as err:
         orbit_sum((5, 5, 5, 5, 5), max_terms=1000)
+    assert (err.value.cap, err.value.requested) == (1000, multinomial((5, 5, 5, 5, 5)))
 
 
 def test_descent_basis_expand():
@@ -122,8 +126,9 @@ def test_descent_class_members():
     for p in d.terms:
         assert descent_set(p) <= {2}
     assert len(descent_class((1, 1, 1)).terms) == 6
-    with pytest.raises(SizeLimitError):
+    with pytest.raises(SizeLimitError) as err:
         descent_class((5, 5))
+    assert (err.value.cap, err.value.requested) == (8, 10)
 
 
 def test_descent_classes_span_solomon_algebra():
@@ -218,8 +223,9 @@ def test_stabilizer_is_young_subgroup():
 def test_fixed_space_check():
     for n in range(1, 5):
         assert fixed_space_check(n)
-    with pytest.raises(SizeLimitError):
+    with pytest.raises(SizeLimitError) as err:
         fixed_space_check(6)
+    assert (err.value.cap, err.value.requested) == (5, 6)
     with pytest.raises(ValueError):
         fixed_space_check(0)
 
