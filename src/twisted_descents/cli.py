@@ -22,6 +22,7 @@ from .permutations import compose
 from .solomon import DescentElement, solomon_compose, young_decompose
 from .textio import (
     ParseError,
+    _join_terms,
     element_to_json,
     parse,
     parse_composition,
@@ -62,17 +63,6 @@ def _emit(args: argparse.Namespace, text: str, obj) -> None:
         print(text)
 
 
-def _render_descent(d: DescentElement) -> str:
-    parts = []
-    for i, (c, coeff) in enumerate(d):
-        mag = f"{abs(coeff)}*{render_composition(c)}"
-        if i == 0:
-            parts.append(("-" if coeff < 0 else "") + mag)
-        else:
-            parts.append(("- " if coeff < 0 else "+ ") + mag)
-    return " ".join(parts) if parts else "0"
-
-
 def cmd_conv(args) -> int:
     result = convolution(parse(args.a), parse(args.b))
     _emit(args, render(result), element_to_json(result))
@@ -97,7 +87,7 @@ def cmd_solomon(args) -> int:
     b = DescentElement({parse_composition(args.c2): 1})
     result = solomon_compose(a, b)
     obj = {"terms": [{"coeff": c, "parts": list(k)} for k, c in result]}
-    _emit(args, _render_descent(result), obj)
+    _emit(args, _join_terms([(c, render_composition(k)) for k, c in result]), obj)
     return EXIT_OK
 
 

@@ -10,6 +10,7 @@ import math
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 from conftest import record
 
@@ -295,6 +296,8 @@ def test_criterion_12_verify_all_runtime_and_determinism():
     elapsed = time.perf_counter() - t0
     ok = proc.returncode == 0 and elapsed < 300
     ok = ok and proc.stdout.splitlines()[-1].endswith("laws hold")
+    golden = Path(__file__).parent / "golden" / "verify_all_default.txt"
+    ok = ok and proc.stdout.encode("utf-8") == golden.read_bytes()
 
     reduced = [
         sys.executable, "-m", "twisted_descents.cli", "verify", "all",
@@ -306,7 +309,8 @@ def test_criterion_12_verify_all_runtime_and_determinism():
     record(
         12,
         ok,
-        f"verify all: exit {proc.returncode} in {elapsed:.1f} s (< 300 s);"
+        f"verify all: exit {proc.returncode} in {elapsed:.1f} s (< 300 s),"
+        " stdout equal to golden/verify_all_default.txt;"
         " repeated seeded runs byte-identical",
     )
     assert ok

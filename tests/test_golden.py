@@ -1,16 +1,25 @@
-"""Byte-identity of a reduced ``verify all`` run against recorded output.
+"""Byte-identity of ``verify all`` runs against recorded output.
 
 ``golden/verify_all_small.{txt,json}`` hold the stdout of
 ``twisted-descents verify all --max-n 3 --max-support 3 --seed 0`` (text and
 ``--format json``), recorded before the sweep kernels were rewritten.  Any
 change to a law line, a case count or the JSON layout shows up here.
+
+``golden/verify_all_faults.txt`` holds the 39 law lines of the same sweep with
+three kernels broken on purpose, recorded before the suites moved onto one
+sweep engine: it pins which case each failing law reports first, and the
+counterexample text.  ``golden/verify_all_default.txt`` (the default run) is
+compared by acceptance criterion 12, which runs that sweep anyway.
 """
 
 from pathlib import Path
 
 import pytest
 
+from twisted_descents import verify
 from twisted_descents.cli import EXIT_OK, main
+from twisted_descents.setcomp import SetComposition
+from twisted_descents.solomon import DescentElement
 
 GOLDEN = Path(__file__).parent / "golden"
 ARGS = ["verify", "all", "--max-n", "3", "--max-support", "3", "--seed", "0"]
@@ -21,3 +30,29 @@ def test_verify_all_small_matches_golden(capsys, fmt, name):
     assert main(ARGS + ["--format", fmt]) == EXIT_OK
     out = capsys.readouterr().out
     assert out.encode("utf-8") == (GOLDEN / name).read_bytes()
+
+
+def test_verify_all_failure_path_matches_golden(monkeypatch):
+    real_act, real_solomon, real_conv = verify.act, verify.solomon_compose, verify.conv_basis
+
+    def solomon_compose(a, b):
+        # one extra copy of the least term once the weight reaches 3
+        out = real_solomon(a, b)
+        if any(sum(c) >= 3 for c in out.terms):
+            return out + DescentElement({min(out.terms): 1})
+        return out
+
+    def conv_basis(a, b):
+        # blocks reversed on products of three or more blocks; never zero
+        out = real_conv(a, b)
+        if out is not None and len(out.sets) >= 3:
+            return SetComposition(out.sets[::-1])
+        return out
+
+    # acting twice acts by sigma^2: still a relabelling, no longer an action
+    monkeypatch.setattr(verify, "act", lambda x, s: real_act(real_act(x, s), s))
+    monkeypatch.setattr(verify, "solomon_compose", solomon_compose)
+    monkeypatch.setattr(verify, "conv_basis", conv_basis)
+    results = verify.run_suite("all", verify.Config(max_n=3, max_support=3, seed=0))
+    got = "".join(r.line() + "\n" for r in results)
+    assert got.encode("utf-8") == (GOLDEN / "verify_all_faults.txt").read_bytes()

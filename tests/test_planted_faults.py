@@ -98,3 +98,28 @@ def test_mutating_a_word_coproduct_leaves_the_memo_intact():
     d = b_coproduct(w)
     assert d[split] == 1 and sum(d.values()) == 4
     assert endo_convolution(f, g) == before
+
+
+def _remarkable_matched(monkeypatch, name, fault):
+    real = getattr(verify, name)
+    monkeypatch.setattr(verify, name, lambda a, b: fault(a, b, real(a, b)))
+    results = verify.suite_remarkable(verify.Config(max_n=3, trials=0))
+    return next(r for r in results if r.law == "matched-support")
+
+
+def test_remarkable_sweep_fails_on_a_zero_left_side(monkeypatch):
+    # a ∗ that loses every three-block product zeroes (f ∘ g) ∗ (h ∘ k)
+    result = _remarkable_matched(
+        monkeypatch, "conv_basis", lambda a, b, out: None if out and len(out.sets) == 3 else out
+    )
+    assert not result.ok
+    assert result.detail.startswith("f=") and ", k=" in result.detail
+
+
+def test_remarkable_sweep_fails_on_a_zero_matched_composition(monkeypatch):
+    # f ∘ g is never zero when supp f = supp g; here it is for f = g of two blocks
+    result = _remarkable_matched(
+        monkeypatch, "compose_basis", lambda a, b, out: None if a == b and len(a.sets) == 2 else out
+    )
+    assert not result.ok
+    assert result.detail.startswith("f=") and ", k=" in result.detail

@@ -1,0 +1,36 @@
+"""The sweep engine behind every ``verify`` law."""
+
+from twisted_descents.verify import _single, _sweep, _trial
+
+
+def _counting(pulled, n):
+    for i in range(n):
+        pulled.append(i)
+        yield (i,)
+
+
+def test_first_counterexample_wins_and_no_further_case_is_pulled():
+    pulled = []
+    result = _sweep(
+        "s", "law", _counting(pulled, 10),
+        lambda i: f"case {i}" if i >= 3 else None, lambda k: f"{k} cases",
+    )
+    assert (result.ok, result.detail) == (False, "case 3")
+    assert pulled == [0, 1, 2, 3]
+    assert result.line() == "FAIL [s] law: case 3"
+
+
+def test_pass_detail_counts_the_cases_checked():
+    pulled = []
+    checked = []
+    result = _sweep("s", "law", _counting(pulled, 5), lambda i: checked.append(i), lambda k: f"{k} cases")
+    assert (result.ok, result.detail) == (True, "5 cases")
+    assert checked == pulled == [0, 1, 2, 3, 4]
+
+
+def test_single_and_trial_helpers():
+    assert _single("s", "law", lambda: None, "fixed").line() == "PASS [s] law: fixed"
+    assert _single("s", "law", lambda: "got 1", "fixed").line() == "FAIL [s] law: got 1"
+    check = _trial(lambda x: None if x else "x=0")
+    assert check("trial 4", 1) is None
+    assert check("trial 4", 0) == "trial 4: x=0"
