@@ -129,6 +129,7 @@ class TDElement(_Linear):
         return key
 
     def __iter__(self) -> Iterator[tuple[SetComposition, int]]:
+        SetComposition._fill_blocks(self.terms)
         for sc in sorted(self.terms, key=lambda s: s.sort_key):
             yield sc, self.terms[sc]
 
@@ -163,6 +164,7 @@ class TensorElement(_Linear):
         return key
 
     def __iter__(self) -> Iterator[tuple[tuple[SetComposition, SetComposition], int]]:
+        SetComposition._fill_blocks(itertools.chain.from_iterable(self.terms))
         for pair in sorted(self.terms, key=lambda p: (p[0].sort_key, p[1].sort_key)):
             yield pair, self.terms[pair]
 
@@ -220,14 +222,40 @@ def _bilinear(x: TDElement, y: TDElement, kernel) -> TDElement:
     return TDElement._make(_clean(acc))
 
 
-def convolution(x: TDElement, y: TDElement) -> TDElement:
-    """Bilinear concatenation; overlapping supports annihilate."""
+def _check_pairs(what: str, x: _Linear, y: _Linear, max_terms: int) -> None:
+    requested = len(x.terms) * len(y.terms)
+    if requested > max_terms:
+        raise SizeLimitError(
+            f"{what} would pair {requested} terms (cap {max_terms})", max_terms, requested
+        )
+
+
+def convolution(x: TDElement, y: TDElement, max_terms: int = MAX_TERMS) -> TDElement:
+    """Bilinear concatenation; overlapping supports annihilate.
+
+    Raises SizeLimitError when |x|·|y| term pairs exceed ``max_terms``.
+    """
+    _check_pairs("convolution", x, y, max_terms)
     return _bilinear(x, y, conv_basis)
 
 
-def composition_product(x: TDElement, y: TDElement) -> TDElement:
-    """Bilinear intersection refinement; distinct supports annihilate."""
-    return _bilinear(x, y, compose_basis)
+def composition_product(x: TDElement, y: TDElement, max_terms: int = MAX_TERMS) -> TDElement:
+    """Bilinear intersection refinement; distinct supports annihilate.
+
+    ∘ is graded by support, so each term of x meets only the terms of y on the
+    same support; the result's terms come in the order of the all-pairs loop.
+    Raises SizeLimitError when |x|·|y| term pairs exceed ``max_terms``.
+    """
+    _check_pairs("composition product", x, y, max_terms)
+    by_support: dict = {}
+    for b, cb in y.terms.items():
+        by_support.setdefault(b.support, []).append((b, cb))
+    acc: dict = {}
+    for a, ca in x.terms.items():
+        for b, cb in by_support.get(a.support, ()):
+            key = compose_basis(a, b)
+            acc[key] = acc.get(key, 0) + ca * cb
+    return TDElement._make(_clean(acc))
 
 
 def _block_splits(block: frozenset[int]) -> list[tuple[frozenset[int], frozenset[int]]]:

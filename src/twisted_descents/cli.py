@@ -11,6 +11,7 @@ Caps may also be set through the environment (``TDA_MAX_N``,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -56,29 +57,41 @@ def _resolve_cap(args: argparse.Namespace, name: str) -> int | None:
     return None
 
 
-def _emit(args: argparse.Namespace, text: str, obj) -> None:
+def _max_terms(args: argparse.Namespace) -> int:
+    cap = _resolve_cap(args, "max_terms")
+    return MAX_TERMS if cap is None else cap
+
+
+def _emit(args: argparse.Namespace, text, obj) -> None:
+    """Print ``text()`` or, under ``--format json``, ``obj()``; only one is built."""
     if args.format == "json":
-        print(json.dumps(obj, sort_keys=True))
+        print(json.dumps(obj(), sort_keys=True))
     else:
-        print(text)
+        print(text())
 
 
 def cmd_conv(args) -> int:
-    result = convolution(parse(args.a), parse(args.b))
-    _emit(args, render(result), element_to_json(result))
+    max_terms = _max_terms(args)
+    result = convolution(parse(args.a), parse(args.b), max_terms)
+    _emit(args, lambda: render(result), lambda: element_to_json(result))
     return EXIT_OK
 
 
 def cmd_comp(args) -> int:
-    result = composition_product(parse(args.a), parse(args.b))
-    _emit(args, render(result), element_to_json(result))
+    max_terms = _max_terms(args)
+    result = composition_product(parse(args.a), parse(args.b), max_terms)
+    _emit(args, lambda: render(result), lambda: element_to_json(result))
     return EXIT_OK
 
 
 def cmd_coprod(args) -> int:
-    max_terms = _resolve_cap(args, "max_terms")
-    result = coproduct(parse(args.a), MAX_TERMS if max_terms is None else max_terms)
-    _emit(args, render_tensor(result, ascii_only=args.ascii), tensor_to_json(result))
+    max_terms = _max_terms(args)
+    result = coproduct(parse(args.a), max_terms)
+    _emit(
+        args,
+        lambda: render_tensor(result, ascii_only=args.ascii),
+        lambda: tensor_to_json(result),
+    )
     return EXIT_OK
 
 
@@ -86,8 +99,11 @@ def cmd_solomon(args) -> int:
     a = DescentElement({parse_composition(args.c1): 1})
     b = DescentElement({parse_composition(args.c2): 1})
     result = solomon_compose(a, b)
-    obj = {"terms": [{"coeff": c, "parts": list(k)} for k, c in result]}
-    _emit(args, _join_terms([(c, render_composition(k)) for k, c in result]), obj)
+    _emit(
+        args,
+        lambda: _join_terms([(c, render_composition(k)) for k, c in result]),
+        lambda: {"terms": [{"coeff": c, "parts": list(k)} for k, c in result]},
+    )
     return EXIT_OK
 
 
@@ -98,8 +114,11 @@ def cmd_young(args) -> int:
     if compose(beta, tau) != p:
         print(f"recomposition check failed: {beta} . {tau} != {p}", file=sys.stderr)
         return EXIT_VERIFY
-    text = f"beta = {render_permutation(beta)}\nshuffle = {render_permutation(tau)}"
-    _emit(args, text, {"beta": list(beta), "shuffle": list(tau)})
+    _emit(
+        args,
+        lambda: f"beta = {render_permutation(beta)}\nshuffle = {render_permutation(tau)}",
+        lambda: {"beta": list(beta), "shuffle": list(tau)},
+    )
     return EXIT_OK
 
 
@@ -191,10 +210,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # argparse keeps no state between parse_args calls, so one parser serves all.
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:

@@ -69,18 +69,30 @@ class SetComposition:
         self._key = None
         return self
 
+    @staticmethod
+    def _fill_blocks(comps: Iterable["SetComposition"]) -> None:
+        # Products reuse their operands' block frozensets, so the terms of one
+        # element share most blocks: sort each distinct block once.
+        memo: dict = {}
+        for sc in comps:
+            if sc._blocks is None:
+                sc._blocks = tuple(
+                    [memo[b] if b in memo else memo.setdefault(b, tuple(sorted(b))) for b in sc.sets]
+                )
+
     @property
     def blocks(self) -> tuple[tuple[int, ...], ...]:
         """The blocks as ascending tuples, in composition order."""
         if self._blocks is None:
-            self._blocks = tuple(tuple(sorted(b)) for b in self.sets)
+            SetComposition._fill_blocks((self,))
         return self._blocks
 
     @property
     def sort_key(self) -> tuple:
         if self._key is None:
-            flat = tuple(x for b in self.blocks for x in b)
-            bounds = tuple(itertools.accumulate(len(b) for b in self.blocks[:-1]))
+            blocks = self.blocks
+            flat = tuple(itertools.chain.from_iterable(blocks))
+            bounds = tuple(itertools.accumulate(map(len, blocks[:-1])))
             self._key = (len(self.support), flat, bounds)
         return self._key
 

@@ -6,6 +6,11 @@ The element grammar::
     term      = [coeff '*'] '[' blocklist ']'
     blocklist = block ('|' block)* | ''
     block     = '{' int (',' int)* '}'
+    coeff     = digit+
+    int       = ['-'] digit+
+    digit     = '0' | '1' | ... | '9'
+
+Digits are ASCII only; any other Unicode digit is a ParseError.
 
 Blocks must list their elements in strictly increasing order and be pairwise
 disjoint within one bracket.  Renderings are canonical: terms in the standard
@@ -14,6 +19,7 @@ set-composition order, every coefficient explicit (``1*[{2}]``).
 
 from __future__ import annotations
 
+import re
 from typing import Iterable
 
 from .algebra import TDElement, TensorElement
@@ -26,6 +32,9 @@ class ParseError(ValueError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
         self.position = position
+
+
+_DIGITS = re.compile(r"[0-9]+")
 
 
 class _Scanner:
@@ -53,12 +62,12 @@ class _Scanner:
 
     def integer(self) -> int:
         start = self.pos
-        if self.peek() == "-":
+        if self.text.startswith("-", start):
             self.pos += 1
-        if not self.peek().isdigit():
+        digits = _DIGITS.match(self.text, self.pos)
+        if digits is None:
             raise ParseError("expected an integer", self.pos)
-        while self.peek().isdigit():
-            self.pos += 1
+        self.pos = digits.end()
         return int(self.text[start : self.pos])
 
 
@@ -95,7 +104,7 @@ def _parse_bracket(sc: _Scanner) -> SetComposition:
 
 def _parse_term(sc: _Scanner) -> tuple[int, SetComposition]:
     coeff = 1
-    if sc.peek().isdigit():
+    if _DIGITS.match(sc.text, sc.pos):
         coeff = sc.integer()
         sc.skip_ws()
         sc.expect("*")
@@ -134,10 +143,6 @@ def parse(text: str) -> TDElement:
     return TDElement._make({k: c for k, c in terms.items() if c})
 
 
-def render_blocks(sc: SetComposition) -> str:
-    return "[" + "|".join("{" + ",".join(map(str, b)) + "}" for b in sc.blocks) + "]"
-
-
 def _join_terms(parts: list[tuple[int, str]]) -> str:
     if not parts:
         return "0"
@@ -151,16 +156,39 @@ def _join_terms(parts: list[tuple[int, str]]) -> str:
     return " ".join(out)
 
 
+def _bracket_renderer():
+    """``render_blocks`` that builds the text of each distinct block once.
+
+    The terms of one product share most of their block objects.
+    """
+    texts: dict = {}
+
+    def bracket(sc: SetComposition) -> str:
+        parts = []
+        for block, values in zip(sc.sets, sc.blocks):
+            text = texts.get(block)
+            if text is None:
+                text = texts[block] = "{" + ",".join(map(str, values)) + "}"
+            parts.append(text)
+        return "[" + "|".join(parts) + "]"
+
+    return bracket
+
+
+def render_blocks(sc: SetComposition) -> str:
+    return _bracket_renderer()(sc)
+
+
 def render(x: TDElement) -> str:
     """Canonical text for an element; the zero element renders as ``0``."""
-    return _join_terms([(c, render_blocks(sc)) for sc, c in x])
+    bracket = _bracket_renderer()
+    return _join_terms([(c, bracket(sc)) for sc, c in x])
 
 
 def render_tensor(x: TensorElement, ascii_only: bool = False) -> str:
     sep = "(x)" if ascii_only else "⊗"
-    return _join_terms(
-        [(c, render_blocks(l) + sep + render_blocks(r)) for (l, r), c in x]
-    )
+    bracket = _bracket_renderer()
+    return _join_terms([(c, bracket(l) + sep + bracket(r)) for (l, r), c in x])
 
 
 def element_to_json(x: TDElement) -> dict:

@@ -255,7 +255,8 @@ def suite_assoc_comp(cfg: Config) -> list[LawResult]:
         expected = chamber([v for block in sc.sets for v in p if v in block])
         got = compose_basis(sc, permutation_basis(p))
         if got != expected:
-            return f"sc={render(basis(sc))}, sigma={p}, got {render(basis(got))}"
+            shown = "0" if got is None else render(basis(got))
+            return f"sc={render(basis(sc))}, sigma={p}, got {shown}"
 
     return [
         _sweep("assoc-comp", "associativity", _random_cases(trials, draw, 3),

@@ -131,6 +131,16 @@ def test_coproduct_size_guard():
     assert (err.value.cap, err.value.requested) == (32, 34)
 
 
+@pytest.mark.parametrize("product", [convolution, composition_product])
+def test_product_size_guard(product):
+    # the cap counts term pairs, before any of them is tried
+    x, y = parse("[{1}] + [{2}] + [{3}]"), parse("[{1}] + [{4}]")
+    with pytest.raises(SizeLimitError) as err:
+        product(x, y, max_terms=5)
+    assert (err.value.cap, err.value.requested) == (5, 6)
+    assert product(x, y, max_terms=6) == product(x, y)
+
+
 def test_tensor_convolution_examples():
     t1 = tensor(parse("[{1}]"), parse("[{2}]"))
     t2 = tensor(parse("[{2}]"), parse("[{1}]"))

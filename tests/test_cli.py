@@ -2,8 +2,11 @@ import json
 import subprocess
 import sys
 
+from types import SimpleNamespace
+
 import pytest
 
+from twisted_descents import cli
 from twisted_descents.cli import EXIT_CAP, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
 
 
@@ -117,6 +120,78 @@ def test_env_cap_and_flag_precedence(capsys, monkeypatch):
     monkeypatch.setenv("TDA_MAX_TERMS", "not-a-number")
     code, _, err = run(capsys, "coprod", "[{1,2}]")
     assert code == EXIT_USAGE
+
+
+PRODUCT_ARGS = ["[{1}] + [{2}] + [{3}]", "[{1}] + [{4}]"]  # 6 term pairs
+
+
+@pytest.mark.parametrize("command", ["conv", "comp"])
+def test_product_cap_exit_code(capsys, command):
+    code, _, err = run(capsys, command, *PRODUCT_ARGS, "--max-terms", "5")
+    assert code == EXIT_CAP
+    assert "size limit" in err and "would pair 6 terms (cap 5)" in err
+    code, _, _ = run(capsys, command, *PRODUCT_ARGS, "--max-terms", "6")
+    assert code == EXIT_OK
+
+
+@pytest.mark.parametrize("command", ["conv", "comp"])
+def test_product_env_cap_and_flag_precedence(capsys, monkeypatch, command):
+    monkeypatch.setenv("TDA_MAX_TERMS", "5")
+    code, _, _ = run(capsys, command, *PRODUCT_ARGS)
+    assert code == EXIT_CAP
+    code, _, _ = run(capsys, command, *PRODUCT_ARGS, "--max-terms", "6")
+    assert code == EXIT_OK
+    monkeypatch.setenv("TDA_MAX_TERMS", "not-a-number")
+    code, _, _ = run(capsys, command, *PRODUCT_ARGS)
+    assert code == EXIT_USAGE
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("built an output format that was not asked for")
+
+
+OUTPUT_CALLS = [
+    ["conv", "[{1}] + 2*[{3}]", "[{2}]"],
+    ["comp", "[{1}|{2}] - [{3}]", "[{2}|{1}]"],
+    ["coprod", "[{1,2}]"],
+    ["coprod", "[{1,2}]", "--ascii"],
+    ["solomon", "2,1", "1,2"],
+    ["young", "2,1", "3,1,2"],
+]
+
+
+@pytest.mark.parametrize("argv", OUTPUT_CALLS, ids=lambda argv: " ".join(argv))
+def test_text_output_builds_no_json(capsys, monkeypatch, argv):
+    monkeypatch.setattr(cli, "element_to_json", _refuse)
+    monkeypatch.setattr(cli, "tensor_to_json", _refuse)
+    monkeypatch.setattr(cli, "json", SimpleNamespace(dumps=_refuse))
+    code, out, _ = run(capsys, *argv)
+    assert code == EXIT_OK and out
+
+
+@pytest.mark.parametrize("argv", OUTPUT_CALLS, ids=lambda argv: " ".join(argv))
+def test_json_output_renders_no_text(capsys, monkeypatch, argv):
+    for name in ("render", "render_tensor", "_join_terms", "render_composition",
+                 "render_permutation"):
+        monkeypatch.setattr(cli, name, _refuse)
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == EXIT_OK
+    json.loads(out)
+
+
+def test_cached_parser_keeps_no_state_between_calls(capsys):
+    assert cli._parser() is cli._parser()
+    code, out, _ = run(
+        capsys, "coprod", "[{1,2}]", "--format", "json", "--ascii", "--max-terms", "4"
+    )
+    assert code == EXIT_OK
+    assert len(json.loads(out)["terms"]) == 4
+    # no json, no ASCII tensor sign and no cap of 4 carried over
+    code, out, _ = run(capsys, "coprod", "[{1,2}|{3}]")
+    assert code == EXIT_OK
+    assert out.count("⊗") == 8 and not out.startswith("{")
+    code, out, _ = run(capsys, "conv", "[{3,5}]", "[{1,4}]")
+    assert (code, out) == (EXIT_OK, "1*[{3,5}|{1,4}]\n")
 
 
 def test_verify_single_suite(capsys):

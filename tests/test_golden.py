@@ -10,8 +10,14 @@ three kernels broken on purpose, recorded before the suites moved onto one
 sweep engine: it pins which case each failing law reports first, and the
 counterexample text.  ``golden/verify_all_default.txt`` (the default run) is
 compared by acceptance criterion 12, which runs that sweep anyway.
+
+``golden/cli_ops.txt`` holds the stdout of the ``CLI_CALLS`` below, each
+after a ``$`` line naming the call, recorded before the single-operation
+CLI path was made lazy (one parser per process, only the requested format
+built, ∘ paired by support).
 """
 
+import shlex
 from pathlib import Path
 
 import pytest
@@ -24,12 +30,49 @@ from twisted_descents.solomon import DescentElement
 GOLDEN = Path(__file__).parent / "golden"
 ARGS = ["verify", "all", "--max-n", "3", "--max-support", "3", "--seed", "0"]
 
+# Mixed supports, signs and coefficients; the largest label is MAX_LABEL.
+_X = "2*[{1,3}] - [{2}] + 3*[{4}|{5}] - 7*[]"
+_Y = "[{2}] - 4*[{6}|{7,8}] + [{1}] + 2*[{4294967295}|{9}]"
+_F = "3*[{1,2}|{3}] - [{3}|{1,2}] + 2*[{1}|{2}] + [{4}] - 5*[{2}|{1}|{3}]"
+_G = "[{1}|{2,3}] + 5*[{2}|{1}] - 2*[{1,2,3}] + 3*[{4}] + [{3,4}]"
+_OPS = [
+    ["conv", _X, _Y],
+    ["conv", _Y, _X],
+    ["conv", "[{1,2}]", "[{2}]"],
+    ["comp", _F, _G],
+    ["comp", _G, _F],
+    ["comp", "[{1}]", "[{2}]"],
+    ["coprod", "2*[{1,2}|{3}] - [{4}] + 3*[]"],
+    ["coprod", "--", "-[{5}|{1,4294967295}]"],
+    ["solomon", "2,1", "1,2"],
+    ["solomon", "2,2", "3,1"],
+    ["solomon", "2", "3"],
+    ["young", "2,1,2", "3,5,1,4,2"],
+    ["young", "3", "2,3,1"],
+]
+CLI_CALLS = [
+    [op[0], *style, *op[1:]] for op in _OPS for style in ([], ["--ascii"], ["--format", "json"])
+]
+
+
+def cli_transcript(capsys) -> str:
+    out = []
+    for argv in CLI_CALLS:
+        assert main(argv) == EXIT_OK, argv
+        out.append(f"$ twisted-descents {shlex.join(argv)}\n{capsys.readouterr().out}")
+    return "".join(out)
+
 
 @pytest.mark.parametrize("fmt, name", [("text", "verify_all_small.txt"), ("json", "verify_all_small.json")])
 def test_verify_all_small_matches_golden(capsys, fmt, name):
     assert main(ARGS + ["--format", fmt]) == EXIT_OK
     out = capsys.readouterr().out
     assert out.encode("utf-8") == (GOLDEN / name).read_bytes()
+
+
+def test_cli_operations_match_golden(capsys):
+    got = cli_transcript(capsys)
+    assert got.encode("utf-8") == (GOLDEN / "cli_ops.txt").read_bytes()
 
 
 def test_verify_all_failure_path_matches_golden(monkeypatch):

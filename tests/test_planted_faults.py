@@ -123,3 +123,18 @@ def test_remarkable_sweep_fails_on_a_zero_matched_composition(monkeypatch):
     )
     assert not result.ok
     assert result.detail.startswith("f=") and ", k=" in result.detail
+
+
+def test_unshuffling_reports_a_zero_composition(monkeypatch):
+    # ∘ of equal supports is never zero; here it is whenever it would make three blocks
+    real = verify.compose_basis
+
+    def compose_basis(a, b):
+        out = real(a, b)
+        return None if out is not None and len(out.sets) == 3 else out
+
+    monkeypatch.setattr(verify, "compose_basis", compose_basis)
+    results = verify.suite_assoc_comp(verify.Config(max_n=3, trials=0))
+    result = next(r for r in results if r.law == "unshuffling")
+    assert not result.ok
+    assert result.detail == "sc=1*[{1,2,3}], sigma=(1, 2, 3), got 0"

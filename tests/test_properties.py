@@ -8,6 +8,7 @@ from twisted_descents.algebra import (
     UNIT,
     act,
     basis,
+    compose_basis,
     conv_basis,
     composition_product,
     convolution,
@@ -187,3 +188,26 @@ def test_oracle_composition_agreement(a, b):
     lhs = endo_compose(represent(a, universe), represent(b, universe))
     rhs = endo_of(composition_product(basis(a), basis(b)), universe)
     assert lhs == rhs
+
+
+@st.composite
+def mixed_support_elements(draw):
+    """Up to 8 terms over a few overlapping universes, so supports often repeat."""
+    terms = {}
+    for _ in range(draw(st.integers(0, 8))):
+        universe = draw(st.sampled_from([(1, 2), (2, 3), (1, 2, 3), (1, 2, 3, 4)]))
+        terms[draw(set_comps(universe))] = draw(st.integers(-3, 3))
+    return TDElement(terms)
+
+
+@common
+@given(x=mixed_support_elements(), y=mixed_support_elements())
+def test_composition_product_matches_all_pairs(x, y):
+    acc: dict = {}
+    for a, ca in x.terms.items():
+        for b, cb in y.terms.items():
+            key = compose_basis(a, b)
+            if key is not None:
+                acc[key] = acc.get(key, 0) + ca * cb
+    want = [(k, c) for k, c in acc.items() if c]
+    assert list(composition_product(x, y).terms.items()) == want

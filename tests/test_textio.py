@@ -81,6 +81,17 @@ def test_parse_errors_carry_positions():
         parse("[{1}")
 
 
+@pytest.mark.parametrize(
+    "text, position",
+    [("[{²}]", 2), ("[{٣}]", 2), ("[{1,2٣}]", 5), ("[{1,-²}]", 5), ("٣*[{1}]", 0)],
+)
+def test_parse_takes_only_ascii_digits(text, position):
+    # str.isdigit() also holds for superscripts and other scripts' digits
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert err.value.position == position
+
+
 def test_render_tensor():
     t = tensor(UNIT, UNIT)
     assert render_tensor(t) == "1*[]⊗[]"
