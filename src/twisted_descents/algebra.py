@@ -368,7 +368,7 @@ def graded_component(x: TDElement, s: Iterable[int]) -> TDElement:
     return TDElement._make({sc: c for sc, c in x.terms.items() if sc.support == s})
 
 
-def coproduct_iterated(x: TDElement, legs: int, max_terms: int = MAX_TERMS) -> dict:
+def coproduct_iterated(x: TDElement, legs: int) -> dict:
     """δ applied (legs-1) times, as a map from tuples of compositions to ints.
 
     Expands on the leftmost leg each time; coassociativity (tested) makes the
@@ -381,7 +381,7 @@ def coproduct_iterated(x: TDElement, legs: int, max_terms: int = MAX_TERMS) -> d
         nxt: dict = {}
         for key, coeff in acc.items():
             head = TDElement._make({key[0]: 1})
-            for (l, r), c in coproduct(head, max_terms).terms.items():
+            for (l, r), c in coproduct(head).terms.items():
                 k2 = (l, r) + key[1:]
                 nxt[k2] = nxt.get(k2, 0) + coeff * c
         acc = _clean(nxt)

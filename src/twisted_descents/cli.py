@@ -4,8 +4,12 @@ Subcommands: ``conv``, ``comp``, ``coprod``, ``solomon``, ``young`` for
 arithmetic, ``verify`` for the invariant suites.  Exit codes: 0 success,
 1 verification failure, 2 usage or parse error, 3 size cap exceeded.
 
-Caps may also be set through the environment (``TDA_MAX_N``,
-``TDA_MAX_SUPPORT``, ``TDA_MAX_TERMS``); explicit flags win.
+Each subcommand takes only the flags it reads: ``--format`` and ``--ascii``
+on the five arithmetic commands, plus ``--max-terms`` (``TDA_MAX_TERMS``) on
+``conv``, ``comp`` and ``coprod``; ``--format``, ``--max-n`` (``TDA_MAX_N``),
+``--max-support`` (``TDA_MAX_SUPPORT``), ``--seed`` and ``--trials`` on
+``verify``.  A flag wins over its environment variable.  Counts are ASCII
+digits, as in the element grammar; ``--seed`` is the grammar's ``int``.
 """
 
 from __future__ import annotations
@@ -22,6 +26,8 @@ from .limits import MAX_TERMS, SizeLimitError
 from .permutations import compose
 from .solomon import DescentElement, solomon_compose, young_decompose
 from .textio import (
+    _DIGITS,
+    _INT,
     ParseError,
     _join_terms,
     element_to_json,
@@ -41,24 +47,38 @@ EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
 
-_ENV = {"max_n": "TDA_MAX_N", "max_support": "TDA_MAX_SUPPORT", "max_terms": "TDA_MAX_TERMS"}
+
+# argparse names a rejected flag value after its type function
+# ("invalid count value: '-1'"), hence these two public names.
+def count(text: str) -> int:
+    """A count: ASCII digits only, the element grammar's ``digit+``."""
+    if _DIGITS.fullmatch(text) is None:
+        raise ValueError(f"{text!r} is not a count")
+    return int(text)
 
 
-def _resolve_cap(args: argparse.Namespace, name: str) -> int | None:
-    value = getattr(args, name, None)
-    if value is not None:
-        return value
-    raw = os.environ.get(_ENV[name], "")
-    if raw:
-        try:
-            return int(raw)
-        except ValueError:
-            raise ParseError(f"environment {_ENV[name]}={raw!r} is not an integer", 0)
-    return None
+def integer(text: str) -> int:
+    """The element grammar's ``int``: an optional '-' and ASCII digits."""
+    if _INT.fullmatch(text) is None:
+        raise ValueError(f"{text!r} is not an integer")
+    return int(text)
+
+
+def _from_env(flag: int | None, var: str) -> int | None:
+    """``flag`` if it was given, else the count in environment variable ``var``."""
+    if flag is not None:
+        return flag
+    raw = os.environ.get(var, "")
+    if not raw:
+        return None
+    try:
+        return count(raw)
+    except ValueError:
+        raise ParseError(f"environment {var}={raw!r} is not a count", 0) from None
 
 
 def _max_terms(args: argparse.Namespace) -> int:
-    cap = _resolve_cap(args, "max_terms")
+    cap = _from_env(args.max_terms, "TDA_MAX_TERMS")
     return MAX_TERMS if cap is None else cap
 
 
@@ -128,25 +148,15 @@ def cmd_verify(args) -> int:
         print(f"unknown suite {args.suite!r}; available: {names}", file=sys.stderr)
         return EXIT_USAGE
     cfg = Config(
-        max_n=_resolve_cap(args, "max_n"),
-        max_support=_resolve_cap(args, "max_support"),
-        max_terms=_resolve_cap(args, "max_terms"),
+        max_n=_from_env(args.max_n, "TDA_MAX_N"),
+        max_support=_from_env(args.max_support, "TDA_MAX_SUPPORT"),
         trials=args.trials,
         seed=args.seed,
     )
     results = run_suite(args.suite, cfg)
     if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "results": [
-                        {"suite": r.suite, "law": r.law, "ok": r.ok, "detail": r.detail}
-                        for r in results
-                    ]
-                },
-                sort_keys=True,
-            )
-        )
+        laws = [{"suite": r.suite, "law": r.law, "ok": r.ok, "detail": r.detail} for r in results]
+        print(json.dumps({"results": laws}, sort_keys=True))
     else:
         for r in results:
             print(r.line())
@@ -157,18 +167,12 @@ def cmd_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=["text", "json"], default="text")
-    common.add_argument("--ascii", action="store_true", help="avoid non-ASCII output")
-    common.add_argument("--max-n", type=int, dest="max_n", help="degree cap for sweeps")
-    common.add_argument(
-        "--max-support", type=int, dest="max_support", help="oracle universe cap"
-    )
-    common.add_argument(
-        "--max-terms", type=int, dest="max_terms", help="expansion size cap"
-    )
-    common.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
-    common.add_argument("--trials", type=int, help="randomized trial count")
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=["text", "json"], default="text")
+    output = argparse.ArgumentParser(add_help=False, parents=[fmt])
+    output.add_argument("--ascii", action="store_true", help="avoid non-ASCII output")
+    capped = argparse.ArgumentParser(add_help=False, parents=[output])
+    capped.add_argument("--max-terms", type=count, help="expansion size cap")
 
     parser = argparse.ArgumentParser(
         prog="twisted-descents",
@@ -176,36 +180,40 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("conv", parents=[common], help="convolution product of two elements")
+    p = sub.add_parser("conv", parents=[capped], help="convolution product of two elements")
     p.add_argument("a")
     p.add_argument("b")
     p.set_defaults(fn=cmd_conv)
 
-    p = sub.add_parser("comp", parents=[common], help="composition product of two elements")
+    p = sub.add_parser("comp", parents=[capped], help="composition product of two elements")
     p.add_argument("a")
     p.add_argument("b")
     p.set_defaults(fn=cmd_comp)
 
-    p = sub.add_parser("coprod", parents=[common], help="coproduct of an element")
+    p = sub.add_parser("coprod", parents=[capped], help="coproduct of an element")
     p.add_argument("a")
     p.set_defaults(fn=cmd_coprod)
 
     p = sub.add_parser(
-        "solomon", parents=[common], help="Solomon's rule on two integer compositions"
+        "solomon", parents=[output], help="Solomon's rule on two integer compositions"
     )
     p.add_argument("c1")
     p.add_argument("c2")
     p.set_defaults(fn=cmd_solomon)
 
     p = sub.add_parser(
-        "young", parents=[common], help="Young/shuffle factorization of a permutation"
+        "young", parents=[output], help="Young/shuffle factorization of a permutation"
     )
     p.add_argument("partition", help="block sizes, e.g. 2,1")
     p.add_argument("perm", help="one-line permutation, e.g. 3,1,2")
     p.set_defaults(fn=cmd_young)
 
-    p = sub.add_parser("verify", parents=[common], help="run an invariant suite")
+    p = sub.add_parser("verify", parents=[fmt], help="run an invariant suite")
     p.add_argument("suite", help="suite name or 'all'")
+    p.add_argument("--max-n", type=count, help="degree cap for sweeps")
+    p.add_argument("--max-support", type=count, help="oracle universe cap")
+    p.add_argument("--seed", type=integer, default=0, help="seed for randomized suites")
+    p.add_argument("--trials", type=count, help="randomized trial count")
     p.set_defaults(fn=cmd_verify)
     return parser
 

@@ -62,20 +62,15 @@ def composition_descents(parts: Iterable[int]) -> frozenset[int]:
     return frozenset(out)
 
 
-def descent_class(parts: Iterable[int], n: int | None = None) -> Iterator[tuple[int, ...]]:
+def descent_class(parts: Iterable[int]) -> Iterator[tuple[int, ...]]:
     """Permutations whose descent set is contained in the partial sums of ``parts``.
 
     These are the permutations increasing within each consecutive interval of
     sizes n1, n2, ....  Yields in lexicographic order.
     """
     c = check_composition(parts)
-    total = sum(c)
-    if n is None:
-        n = total
-    if n != total:
-        raise ValueError(f"composition {c} has weight {total}, not {n}")
     allowed = composition_descents(c)
-    for p in symmetric_group(total):
+    for p in symmetric_group(sum(c)):
         if descent_set(p) <= allowed:
             yield p
 

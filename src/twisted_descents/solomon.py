@@ -192,19 +192,18 @@ def orbit_sum(c: Iterable[int], max_terms: int = MAX_TERMS) -> TDElement:
     return descent_basis_expand(c, range(1, sum(c) + 1), max_terms)
 
 
-def descent_to_orbit(a: DescentElement, max_terms: int = MAX_TERMS) -> TDElement:
+def descent_to_orbit(a: DescentElement) -> TDElement:
     """The truncation embedding: each composition goes to its orbit sum."""
     out = TDElement({})
     for c, coeff in a.terms.items():
-        out = out + coeff * orbit_sum(c, max_terms)
+        out = out + coeff * orbit_sum(c)
     return out
 
 
-def truncation_check(a: DescentElement, b: DescentElement, max_terms: int = MAX_TERMS) -> bool:
+def truncation_check(a: DescentElement, b: DescentElement) -> bool:
     """Does Solomon's rule agree with composing the orbit-sum images?"""
-    lhs = descent_to_orbit(solomon_compose(a, b), max_terms)
-    rhs = composition_product(descent_to_orbit(a, max_terms), descent_to_orbit(b, max_terms))
-    return lhs == rhs
+    lhs = descent_to_orbit(solomon_compose(a, b))
+    return lhs == composition_product(descent_to_orbit(a), descent_to_orbit(b))
 
 
 def descent_class(c: Iterable[int], cap: int = DESCENT_CLASS_CAP) -> GroupAlgebraElement:
@@ -255,7 +254,7 @@ def young_decompose(parts, p: Iterable[int]) -> tuple[tuple[int, ...], tuple[int
     return beta, tau
 
 
-def fixed_space_check(n: int, cap: int = 5, max_terms: int = MAX_TERMS) -> bool:
+def fixed_space_check(n: int, cap: int = 5) -> bool:
     """Are the orbit sums an S_n-stable basis closed under composition?
 
     Checks (i) every orbit sum is fixed by every permutation and (ii) the
@@ -267,7 +266,7 @@ def fixed_space_check(n: int, cap: int = 5, max_terms: int = MAX_TERMS) -> bool:
     if n < 1:
         raise ValueError("weight must be positive")
     comps_n = list(compositions(n))
-    orbits = {c: orbit_sum(c, max_terms) for c in comps_n}
+    orbits = {c: orbit_sum(c) for c in comps_n}
     perms = list(symmetric_group(n))
     for c, x in orbits.items():
         for s in perms:

@@ -10,7 +10,8 @@ The element grammar::
     int       = ['-'] digit+
     digit     = '0' | '1' | ... | '9'
 
-Digits are ASCII only; any other Unicode digit is a ParseError.
+Digits are ASCII only; any other Unicode digit is a ParseError.  The comma
+lists of ``parse_ints`` take the same ``int`` rule for each piece.
 
 Blocks must list their elements in strictly increasing order and be pairwise
 disjoint within one bracket.  Renderings are canonical: terms in the standard
@@ -35,6 +36,7 @@ class ParseError(ValueError):
 
 
 _DIGITS = re.compile(r"[0-9]+")
+_INT = re.compile(r"-?[0-9]+")
 
 
 class _Scanner:
@@ -123,13 +125,13 @@ def parse(text: str) -> TDElement:
         if sc.pos == len(text):
             return TDElement._make({})
         sc.pos = mark
-    terms: dict[SetComposition, int] = {}
+    terms: list[tuple[SetComposition, int]] = []
     sign = -1 if sc.take("-") else 1
     sc.take("+")
     sc.skip_ws()
     while True:
         coeff, key = _parse_term(sc)
-        terms[key] = terms.get(key, 0) + sign * coeff
+        terms.append((key, sign * coeff))
         sc.skip_ws()
         if sc.take("+"):
             sign = 1
@@ -140,7 +142,7 @@ def parse(text: str) -> TDElement:
         sc.skip_ws()
     if sc.pos != len(text):
         raise ParseError(f"unexpected {sc.peek()!r}", sc.pos)
-    return TDElement._make({k: c for k, c in terms.items() if c})
+    return TDElement(terms)
 
 
 def _join_terms(parts: list[tuple[int, str]]) -> str:
@@ -195,18 +197,19 @@ def element_to_json(x: TDElement) -> dict:
     return {"terms": [{"coeff": c, "blocks": [list(b) for b in sc.blocks]} for sc, c in x]}
 
 
-def element_from_json(obj) -> TDElement:
-    if not isinstance(obj, dict) or "terms" not in obj:
+def _json_terms(obj, key):
+    """(key(entry), coeff) for each entry of a ``{"terms": [...]}`` document."""
+    if not isinstance(obj, dict) or not isinstance(obj.get("terms"), list):
         raise ValueError("expected an object with a 'terms' list")
-    terms: dict[SetComposition, int] = {}
     for entry in obj["terms"]:
         try:
-            key = SetComposition(entry["blocks"])
-            coeff = int(entry["coeff"])
+            yield key(entry), entry["coeff"]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed term {entry!r}") from exc
-        terms[key] = terms.get(key, 0) + coeff
-    return TDElement._make({k: c for k, c in terms.items() if c})
+
+
+def element_from_json(obj) -> TDElement:
+    return TDElement(_json_terms(obj, lambda e: SetComposition(e["blocks"])))
 
 
 def tensor_to_json(x: TensorElement) -> dict:
@@ -223,24 +226,17 @@ def tensor_to_json(x: TensorElement) -> dict:
 
 
 def tensor_from_json(obj) -> TensorElement:
-    if not isinstance(obj, dict) or "terms" not in obj:
-        raise ValueError("expected an object with a 'terms' list")
-    terms: dict = {}
-    for entry in obj["terms"]:
-        try:
-            key = (SetComposition(entry["left"]), SetComposition(entry["right"]))
-            coeff = int(entry["coeff"])
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"malformed term {entry!r}") from exc
-        terms[key] = terms.get(key, 0) + coeff
-    return TensorElement._make({k: c for k, c in terms.items() if c})
+    return TensorElement(
+        _json_terms(obj, lambda e: (SetComposition(e["left"]), SetComposition(e["right"])))
+    )
 
 
 def parse_ints(text: str, what: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(piece.strip()) for piece in text.split(","))
-    except ValueError:
-        raise ParseError(f"malformed {what}: {text!r}", 0) from None
+    """Comma-separated integers, each the grammar's ``int`` (ASCII digits)."""
+    pieces = [piece.strip() for piece in text.split(",")]
+    if not all(map(_INT.fullmatch, pieces)):
+        raise ParseError(f"malformed {what}: {text!r}", 0)
+    return tuple(map(int, pieces))
 
 
 def parse_permutation(text: str) -> tuple[int, ...]:

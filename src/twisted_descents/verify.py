@@ -86,7 +86,6 @@ class LawResult:
 class Config:
     max_n: int | None = None
     max_support: int | None = None
-    max_terms: int | None = None
     trials: int | None = None
     seed: int = 0
 

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -117,9 +118,11 @@ def test_env_cap_and_flag_precedence(capsys, monkeypatch):
     code, out, _ = run(capsys, "coprod", "[{1,2,3,4,5}]", "--max-terms", "32")
     assert code == EXIT_OK
     assert out.count("⊗") == 32
-    monkeypatch.setenv("TDA_MAX_TERMS", "not-a-number")
-    code, _, err = run(capsys, "coprod", "[{1,2}]")
-    assert code == EXIT_USAGE
+    for junk in ("not-a-number", "-1", "+4", "٣", "1_0"):
+        monkeypatch.setenv("TDA_MAX_TERMS", junk)
+        code, _, err = run(capsys, "coprod", "[{1,2}]")
+        assert code == EXIT_USAGE
+        assert f"TDA_MAX_TERMS={junk!r} is not a count" in err
 
 
 PRODUCT_ARGS = ["[{1}] + [{2}] + [{3}]", "[{1}] + [{4}]"]  # 6 term pairs
@@ -144,6 +147,68 @@ def test_product_env_cap_and_flag_precedence(capsys, monkeypatch, command):
     monkeypatch.setenv("TDA_MAX_TERMS", "not-a-number")
     code, _, _ = run(capsys, command, *PRODUCT_ARGS)
     assert code == EXIT_USAGE
+
+
+VALID_ARGS = {
+    "conv": ["[{1}]", "[{2}]"],
+    "comp": ["[{1}]", "[{1}]"],
+    "coprod": ["[{1}]"],
+    "solomon": ["1,1", "2"],
+    "young": ["2,1", "3,1,2"],
+    "verify": ["dims"],
+}
+OUTPUT_FLAGS = {"--format", "--ascii"}
+FLAGS = {
+    "conv": OUTPUT_FLAGS | {"--max-terms"},
+    "comp": OUTPUT_FLAGS | {"--max-terms"},
+    "coprod": OUTPUT_FLAGS | {"--max-terms"},
+    "solomon": OUTPUT_FLAGS,
+    "young": OUTPUT_FLAGS,
+    "verify": {"--format", "--max-n", "--max-support", "--seed", "--trials"},
+}
+ALL_FLAGS = set().union(*FLAGS.values())
+REMOVED = [(c, f) for c in FLAGS for f in sorted(ALL_FLAGS - FLAGS[c])]
+
+
+def test_help_lists_only_the_flags_a_command_reads(capsys):
+    for command, flags in FLAGS.items():
+        code, out, _ = run(capsys, command, "--help")
+        assert code == EXIT_OK
+        assert set(re.findall(r"--[a-z-]+", out)) - {"--help"} == flags
+    assert sum(map(len, FLAGS.values())) == 18 and len(REMOVED) == 24
+
+
+@pytest.mark.parametrize("command, flag", REMOVED)
+def test_flags_a_command_does_not_read_are_usage_errors(capsys, command, flag):
+    value = [] if flag == "--ascii" else ["3"]
+    assert run(capsys, command, *VALID_ARGS[command])[0] == EXIT_OK
+    code, _, err = run(capsys, command, *VALID_ARGS[command], flag, *value)
+    assert code == EXIT_USAGE
+    assert f"unrecognized arguments: {flag}" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["young", "2,1", "٣,1,2"],
+        ["young", "2,1", "+3,1,2"],
+        ["solomon", "1_0", "٢"],
+        ["solomon", "1,1", "²"],
+        ["conv", "[{1}]", "[{2}]", "--max-terms", "٣"],
+        ["comp", "[{1}]", "[{1}]", "--max-terms", "+3"],
+        ["coprod", "[{1}]", "--max-terms", "-1"],
+        ["verify", "dims", "--max-n", "-1"],
+        ["verify", "dims", "--max-support", "1_0"],
+        ["verify", "dims", "--trials", "٣"],
+        ["verify", "dims", "--seed", "+3"],
+        ["verify", "dims", "--seed", "٣"],
+    ],
+    ids=" ".join,
+)
+def test_integers_take_ascii_digits_only(capsys, argv):
+    # int() also takes other scripts' digits, '_' separators and a '+' sign
+    code, out, _ = run(capsys, *argv)
+    assert (code, out) == (EXIT_USAGE, "")
 
 
 def _refuse(*args, **kwargs):
@@ -194,7 +259,8 @@ def test_cached_parser_keeps_no_state_between_calls(capsys):
     assert (code, out) == (EXIT_OK, "1*[{3,5}|{1,4}]\n")
 
 
-def test_verify_single_suite(capsys):
+def test_verify_single_suite(capsys, monkeypatch):
+    monkeypatch.setenv("TDA_MAX_TERMS", "junk")  # verify reads no term cap
     code, out, _ = run(capsys, "verify", "dims")
     assert code == EXIT_OK
     lines = out.splitlines()
@@ -208,10 +274,16 @@ def test_verify_unknown_suite(capsys):
     assert "unknown suite" in err
 
 
-def test_verify_respects_caps(capsys):
+def test_verify_respects_caps(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "dims", "--max-n", "3")
     assert code == EXIT_OK
     assert "1 1 3 13" in out
+    monkeypatch.setenv("TDA_MAX_N", "2")
+    code, out, _ = run(capsys, "verify", "dims", "--seed", "-3")
+    assert (code, out.splitlines()[0]) == (EXIT_OK, "PASS [dims] fubini: 1 1 3")
+    monkeypatch.setenv("TDA_MAX_N", "-1")
+    code, _, err = run(capsys, "verify", "dims")
+    assert code == EXIT_USAGE and "TDA_MAX_N='-1' is not a count" in err
 
 
 def test_verify_json(capsys):

@@ -126,18 +126,30 @@ def test_json_rejects_bad_documents():
         element_from_json({"terms": [{"coeff": 1}]})
     with pytest.raises(ValueError):
         element_from_json({})
+    with pytest.raises(ValueError):
+        element_from_json({"terms": 5})
+    for coeff in (1.9, 1.0, "7", True):
+        with pytest.raises(ValueError, match="is not an integer"):
+            element_from_json({"terms": [{"coeff": coeff, "blocks": [[1]]}]})
+        with pytest.raises(ValueError, match="is not an integer"):
+            tensor_from_json({"terms": [{"coeff": coeff, "left": [[1]], "right": []}]})
+    with pytest.raises(ValueError, match="malformed term"):
+        tensor_from_json({"terms": [{"coeff": 1, "left": [[1]]}]})
 
 
 def test_small_parsers():
     assert parse_ints("3,1,2", "test") == (3, 1, 2)
-    with pytest.raises(ValueError):
-        parse_ints("1,x", "test")
+    assert parse_ints(" 2, -1", "test") == (2, -1)
+    for text in ("1,x", "٣,1", "1_0", "+2", "²", "1,", "--1", "1 2"):
+        with pytest.raises(ParseError, match="malformed test"):
+            parse_ints(text, "test")
     assert parse_permutation("3,1,2") == (3, 1, 2)
     with pytest.raises(ValueError):
         parse_permutation("1,3")
     assert parse_composition("2,1") == (2, 1)
-    with pytest.raises(ValueError):
-        parse_composition("2,0")
+    for text in ("2,0", "2,-1"):
+        with pytest.raises(ParseError, match="composition parts must be positive"):
+            parse_composition(text)
     assert render_permutation((3, 1, 2)) == "3,1,2"
     assert render_composition((1, 1)) == "(1,1)"
 
