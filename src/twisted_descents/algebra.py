@@ -15,6 +15,7 @@ coefficients; all functions are pure.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from typing import Iterable, Iterator, Mapping
 
 from .limits import MAX_TERMS, SizeLimitError
@@ -212,67 +213,172 @@ def chamber_word(sc: SetComposition) -> tuple[int, ...]:
     return tuple(next(iter(b)) for b in sc.sets)
 
 
-def _bilinear(x: TDElement, y: TDElement, kernel) -> TDElement:
-    acc: dict = {}
-    for a, ca in x.terms.items():
-        for b, cb in y.terms.items():
-            key = kernel(a, b)
-            if key is not None:
-                acc[key] = acc.get(key, 0) + ca * cb
-    return TDElement._make(_clean(acc))
-
-
-def _check_pairs(what: str, x: _Linear, y: _Linear, max_terms: int) -> None:
-    requested = len(x.terms) * len(y.terms)
+def _check_pairs(what: str, requested: int, max_terms: int) -> None:
     if requested > max_terms:
         raise SizeLimitError(
             f"{what} would pair {requested} terms (cap {max_terms})", max_terms, requested
         )
 
 
+def _by_support(x: TDElement) -> dict:
+    """The terms of x as {support: [(key, coeff), ...]}, in term order."""
+    out: dict = {}
+    for key, coeff in x.terms.items():
+        out.setdefault(key.support, []).append((key, coeff))
+    return out
+
+
 def convolution(x: TDElement, y: TDElement, max_terms: int = MAX_TERMS) -> TDElement:
     """Bilinear concatenation; overlapping supports annihilate.
 
+    ∗ is graded by support, so the terms of each side are grouped by support
+    and a pair of groups whose supports overlap is dropped with one test; the
+    pairs of the other groups go through ``conv_basis``.
     Raises SizeLimitError when |x|·|y| term pairs exceed ``max_terms``.
     """
-    _check_pairs("convolution", x, y, max_terms)
-    return _bilinear(x, y, conv_basis)
+    _check_pairs("convolution", len(x.terms) * len(y.terms), max_terms)
+    y_groups = _by_support(y).items()
+    acc: dict = {}
+    for s, x_terms in _by_support(x).items():
+        for t, y_terms in y_groups:
+            if s.isdisjoint(t):
+                for a, ca in x_terms:
+                    for b, cb in y_terms:
+                        key = conv_basis(a, b)
+                        acc[key] = acc.get(key, 0) + ca * cb
+    return TDElement._make(_clean(acc))
+
+
+# A support group of a composition product with fewer term pairs than this
+# pairs its terms through compose_basis: below it, the bit index and the
+# block rows cost more than they save (measured crossover).
+_MASK_PAIRS = 64
+
+
+class _BitIndex:
+    """The labels of one product call as bits, and its blocks as int masks.
+
+    Bits are handed out in first-seen order, so masks are as wide as the
+    labels one call sees, never as wide as the labels themselves.  Each mask
+    maps back to one shared frozenset; an operand's block is reused as is.
+    """
+
+    __slots__ = ("bits", "labels", "masks", "sets")
+
+    def __init__(self):
+        self.bits: dict = {}  # label -> its bit
+        self.labels: list = []  # bit position -> label
+        self.masks: dict = {}  # block frozenset -> mask
+        self.sets: dict = {0: frozenset()}  # mask -> frozenset
+
+    def mask(self, block: frozenset[int]) -> int:
+        m = self.masks.get(block)
+        if m is None:
+            m = 0
+            for v in block:
+                bit = self.bits.get(v)
+                if bit is None:
+                    bit = self.bits[v] = 1 << len(self.labels)
+                    self.labels.append(v)
+                m |= bit
+            self.masks[block] = m
+            self.sets.setdefault(m, block)
+        return m
+
+    def set(self, m: int) -> frozenset[int]:
+        s = self.sets.get(m)
+        if s is None:
+            labels, out, rest = self.labels, [], m
+            while rest:
+                low = rest & -rest
+                out.append(labels[low.bit_length() - 1])
+                rest ^= low
+            s = self.sets[m] = frozenset(out)
+        return s
+
+
+class _MaskGroup:
+    """The terms of y on one support, for ∘ by block masks.
+
+    The blocks of a∘b are u & w over the blocks u of a and w of b, row by
+    row, so a∘b is the concatenation of one row per block u of a.  A row,
+    the cuts of u against every term of y, is made once per distinct u.
+    """
+
+    __slots__ = ("index", "masks", "coeffs", "rows")
+
+    def __init__(self, index: _BitIndex, support: frozenset[int], terms: list):
+        self.index = index
+        self.masks = [tuple(map(index.mask, b.sets)) for b, _ in terms]
+        self.coeffs = [cb for _, cb in terms]
+        self.rows: dict = {}
+        index.sets.setdefault(sum(self.masks[0]), support)
+
+    def multiply(self, a: SetComposition, ca: int, acc: dict) -> None:
+        """Add ca·cb·(a ∘ b) to acc for each term cb·b of the group, keyed by masks.
+
+        Every cut mask gets its frozenset in the index as its row is made.
+        """
+        keys = None
+        for u in map(self.index.mask, a.sets):
+            row = self.rows.get(u)
+            if row is None:
+                row = self.rows[u] = [tuple([c for w in bm if (c := u & w)]) for bm in self.masks]
+                for c in set(itertools.chain.from_iterable(row)).difference(self.index.sets):
+                    self.index.set(c)
+            keys = row if keys is None else map(tuple.__add__, keys, row)
+        for key, cb in zip(keys, self.coeffs):
+            acc[key] = acc.get(key, 0) + ca * cb
 
 
 def composition_product(x: TDElement, y: TDElement, max_terms: int = MAX_TERMS) -> TDElement:
     """Bilinear intersection refinement; distinct supports annihilate.
 
-    ∘ is graded by support, so each term of x meets only the terms of y on the
-    same support; the result's terms come in the order of the all-pairs loop.
+    ∘ is graded by support, so each term of x meets only the terms of y on
+    the same support.  A support group with at least ``_MASK_PAIRS`` term
+    pairs works on int block masks over a bit index local to this call (see
+    ``_MaskGroup``); smaller groups pair through ``compose_basis``.  Either
+    way the result's terms come in the order of the all-pairs loop.
     Raises SizeLimitError when |x|·|y| term pairs exceed ``max_terms``.
     """
-    _check_pairs("composition product", x, y, max_terms)
-    by_support: dict = {}
-    for b, cb in y.terms.items():
-        by_support.setdefault(b.support, []).append((b, cb))
+    pairs = len(x.terms) * len(y.terms)
+    _check_pairs("composition product", pairs, max_terms)
+    groups = _by_support(y)
+    index = None
+    if pairs >= _MASK_PAIRS:
+        x_sizes = Counter(a.support for a in x.terms)
+        for s, terms in groups.items():
+            if x_sizes[s] * len(terms) >= _MASK_PAIRS:
+                index = index or _BitIndex()
+                groups[s] = _MaskGroup(index, s, terms)
     acc: dict = {}
     for a, ca in x.terms.items():
-        for b, cb in by_support.get(a.support, ()):
+        group = groups.get(a.support)
+        if group is None:
+            continue
+        if type(group) is _MaskGroup:
+            group.multiply(a, ca, acc)
+            continue
+        for b, cb in group:
             key = compose_basis(a, b)
             acc[key] = acc.get(key, 0) + ca * cb
-    return TDElement._make(_clean(acc))
-
-
-def _block_splits(block: frozenset[int]) -> list[tuple[frozenset[int], frozenset[int]]]:
-    elems = sorted(block)
-    out = []
-    for r in range(len(elems) + 1):
-        for chosen in itertools.combinations(elems, r):
-            left = frozenset(chosen)
-            out.append((left, block - left))
-    return out
+    if index is None:
+        return TDElement._make(_clean(acc))
+    make, get = SetComposition._make, index.sets.__getitem__
+    return TDElement._make(
+        {make(tuple(map(get, k)), get(sum(k))) if type(k) is tuple else k: c
+         for k, c in acc.items() if c}
+    )
 
 
 def coproduct(x: TDElement, max_terms: int = MAX_TERMS) -> TensorElement:
     """Blockwise-split coproduct, valued in the tensor square.
 
     Each term 1_(S1,...,Sk) contributes one summand per family of splits
-    Ti ⊔ Ui = Si; empty parts are dropped from either leg.
+    Ti ⊔ Ui = Si; empty parts are dropped from either leg.  The splits of a
+    block are the submasks t of its mask m, walked as t = (t - 1) & m (Knuth,
+    TAOCP 4A, §7.1.3), over a bit index local to this call; each leg block
+    and leg support is built once per mask.
     """
     requested = sum(1 << len(sc.support) for sc in x.terms)
     if requested > max_terms:
@@ -281,28 +387,57 @@ def coproduct(x: TDElement, max_terms: int = MAX_TERMS) -> TensorElement:
             max_terms,
             requested,
         )
+    index = _BitIndex()
+    sets = index.sets
+    make = SetComposition._make
     acc: dict = {}
     for sc, coeff in x.terms.items():
-        for split in itertools.product(*(_block_splits(b) for b in sc.sets)):
-            lsets = tuple(t for t, _ in split if t)
-            rsets = tuple(u for _, u in split if u)
-            lsup = frozenset().union(*lsets) if lsets else frozenset()
-            key = (
-                SetComposition._make(lsets, lsup),
-                SetComposition._make(rsets, sc.support - lsup),
-            )
+        if not coeff:
+            continue
+        full = 0
+        legs = [((), (), 0)]  # (left blocks, right blocks, left support mask)
+        for block in sc.sets:
+            m = index.mask(block)
+            full |= m
+            submasks = [m]
+            while submasks[-1]:
+                submasks.append((submasks[-1] - 1) & m)
+            splits = [
+                ((index.set(t),) if t else (), (index.set(m ^ t),) if t != m else (), t)
+                for t in submasks
+            ]
+            legs = [(l + lt, r + rt, lm | t) for l, r, lm in legs for lt, rt, t in splits]
+        keys = []
+        for l, r, lm in legs:
+            left = sets.get(lm)
+            if left is None:
+                left = sets[lm] = frozenset().union(*l)
+            right = sets.get(full ^ lm)
+            if right is None:
+                right = sets[full ^ lm] = frozenset().union(*r)
+            keys.append((make(l, left), make(r, right)))
+        if not acc:
+            # the keys of one term are distinct, so only later terms can merge
+            acc = dict.fromkeys(keys, coeff)
+            continue
+        for key in keys:
             acc[key] = acc.get(key, 0) + coeff
-    return TensorElement._make(_clean(acc))
+    return TensorElement._make(_clean(acc) if len(x.terms) > 1 else acc)
 
 
-def _tensor_bilinear(x: TensorElement, y: TensorElement, kernel) -> TensorElement:
+def tensor_convolution(x: TensorElement, y: TensorElement) -> TensorElement:
+    """Componentwise convolution on both tensor legs.
+
+    Raises SizeLimitError when |x|·|y| term pairs exceed ``MAX_TERMS``.
+    """
+    _check_pairs("tensor convolution", len(x.terms) * len(y.terms), MAX_TERMS)
     acc: dict = {}
     for (al, ar), ca in x.terms.items():
         for (bl, br), cb in y.terms.items():
-            left = kernel(al, bl)
+            left = conv_basis(al, bl)
             if left is None:
                 continue
-            right = kernel(ar, br)
+            right = conv_basis(ar, br)
             if right is None:
                 continue
             key = (left, right)
@@ -310,14 +445,27 @@ def _tensor_bilinear(x: TensorElement, y: TensorElement, kernel) -> TensorElemen
     return TensorElement._make(_clean(acc))
 
 
-def tensor_convolution(x: TensorElement, y: TensorElement) -> TensorElement:
-    """Componentwise convolution on both tensor legs."""
-    return _tensor_bilinear(x, y, conv_basis)
-
-
 def tensor_composition(x: TensorElement, y: TensorElement) -> TensorElement:
-    """Componentwise composition product on both tensor legs."""
-    return _tensor_bilinear(x, y, compose_basis)
+    """Componentwise composition product on both tensor legs.
+
+    ∘ annihilates distinct supports, so y is indexed by the supports of its
+    two legs and each term of x meets only the terms with the same pair.
+    Raises SizeLimitError when those matched pairs exceed ``MAX_TERMS``.
+    """
+    by_supports: dict = {}
+    for (bl, br), cb in y.terms.items():
+        by_supports.setdefault((bl.support, br.support), []).append((bl, br, cb))
+    matched = [
+        (al, ar, ca, by_supports.get((al.support, ar.support), ()))
+        for (al, ar), ca in x.terms.items()
+    ]
+    _check_pairs("tensor composition", sum(len(m[3]) for m in matched), MAX_TERMS)
+    acc: dict = {}
+    for al, ar, ca, y_terms in matched:
+        for bl, br, cb in y_terms:
+            key = (compose_basis(al, bl), compose_basis(ar, br))
+            acc[key] = acc.get(key, 0) + ca * cb
+    return TensorElement._make(_clean(acc))
 
 
 def multiply_tensor_legs(x: TensorElement) -> TDElement:

@@ -4,12 +4,13 @@ Subcommands: ``conv``, ``comp``, ``coprod``, ``solomon``, ``young`` for
 arithmetic, ``verify`` for the invariant suites.  Exit codes: 0 success,
 1 verification failure, 2 usage or parse error, 3 size cap exceeded.
 
-Each subcommand takes only the flags it reads: ``--format`` and ``--ascii``
-on the five arithmetic commands, plus ``--max-terms`` (``TDA_MAX_TERMS``) on
-``conv``, ``comp`` and ``coprod``; ``--format``, ``--max-n`` (``TDA_MAX_N``),
-``--max-support`` (``TDA_MAX_SUPPORT``), ``--seed`` and ``--trials`` on
-``verify``.  A flag wins over its environment variable.  Counts are ASCII
-digits, as in the element grammar; ``--seed`` is the grammar's ``int``.
+Each subcommand takes only the flags it reads: ``--format`` on every command;
+``--max-terms`` (``TDA_MAX_TERMS``) on ``conv``, ``comp`` and ``coprod``;
+``--ascii`` on ``coprod``, the only output with a non-ASCII character (``⊗``);
+``--max-n`` (``TDA_MAX_N``), ``--max-support`` (``TDA_MAX_SUPPORT``),
+``--seed`` and ``--trials`` on ``verify``.  A flag wins over its environment
+variable.  Counts are ASCII digits, as in the element grammar; ``--seed`` is
+the grammar's ``int``.
 """
 
 from __future__ import annotations
@@ -169,9 +170,7 @@ def cmd_verify(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     fmt = argparse.ArgumentParser(add_help=False)
     fmt.add_argument("--format", choices=["text", "json"], default="text")
-    output = argparse.ArgumentParser(add_help=False, parents=[fmt])
-    output.add_argument("--ascii", action="store_true", help="avoid non-ASCII output")
-    capped = argparse.ArgumentParser(add_help=False, parents=[output])
+    capped = argparse.ArgumentParser(add_help=False, parents=[fmt])
     capped.add_argument("--max-terms", type=count, help="expansion size cap")
 
     parser = argparse.ArgumentParser(
@@ -192,17 +191,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("coprod", parents=[capped], help="coproduct of an element")
     p.add_argument("a")
+    p.add_argument("--ascii", action="store_true", help="avoid non-ASCII output")
     p.set_defaults(fn=cmd_coprod)
 
     p = sub.add_parser(
-        "solomon", parents=[output], help="Solomon's rule on two integer compositions"
+        "solomon", parents=[fmt], help="Solomon's rule on two integer compositions"
     )
     p.add_argument("c1")
     p.add_argument("c2")
     p.set_defaults(fn=cmd_solomon)
 
     p = sub.add_parser(
-        "young", parents=[output], help="Young/shuffle factorization of a permutation"
+        "young", parents=[fmt], help="Young/shuffle factorization of a permutation"
     )
     p.add_argument("partition", help="block sizes, e.g. 2,1")
     p.add_argument("perm", help="one-line permutation, e.g. 3,1,2")

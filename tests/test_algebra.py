@@ -24,7 +24,7 @@ from twisted_descents.algebra import (
     tensor_composition,
     tensor_convolution,
 )
-from twisted_descents.limits import SizeLimitError
+from twisted_descents.limits import MAX_TERMS, SizeLimitError
 from twisted_descents.permutations import symmetric_group
 from twisted_descents.setcomp import SetComposition, enumerate_set_compositions
 from twisted_descents.textio import parse
@@ -139,6 +139,19 @@ def test_product_size_guard(product):
         product(x, y, max_terms=5)
     assert (err.value.cap, err.value.requested) == (5, 6)
     assert product(x, y, max_terms=6) == product(x, y)
+
+
+def test_tensor_product_size_guards():
+    # the caps count term pairs before any is tried: 4,097² > MAX_TERMS = 2^24
+    comps = list(itertools.islice(enumerate_set_compositions(range(1, 7)), 4097))
+    x = TensorElement({(c, sc()): 1 for c in comps})
+    for product in (tensor_convolution, tensor_composition):
+        with pytest.raises(SizeLimitError) as err:
+            product(x, x)
+        assert (err.value.cap, err.value.requested) == (MAX_TERMS, 4097**2)
+    # ∘₂ counts only the pairs whose leg supports match: here none
+    y = TensorElement({(sc(), c): 1 for c in comps})
+    assert tensor_composition(x, y) == TensorElement({})
 
 
 def test_tensor_convolution_examples():

@@ -14,7 +14,9 @@ compared by acceptance criterion 12, which runs that sweep anyway.
 ``golden/cli_ops.txt`` holds the stdout of the ``CLI_CALLS`` below, each
 after a ``$`` line naming the call, recorded before the single-operation
 CLI path was made lazy (one parser per process, only the requested format
-built, ∘ paired by support).
+built, ∘ paired by support).  Its ``--ascii`` calls of ``conv``, ``comp``,
+``solomon`` and ``young`` were deleted when those commands lost the flag;
+each had printed the same bytes as the call without it.
 """
 
 import shlex
@@ -50,8 +52,12 @@ _OPS = [
     ["young", "2,1,2", "3,5,1,4,2"],
     ["young", "3", "2,3,1"],
 ]
+# --ascii only where it changes something: coprod's ⊗.
 CLI_CALLS = [
-    [op[0], *style, *op[1:]] for op in _OPS for style in ([], ["--ascii"], ["--format", "json"])
+    [op[0], *style, *op[1:]]
+    for op in _OPS
+    for style in ([], ["--ascii"], ["--format", "json"])
+    if style != ["--ascii"] or op[0] == "coprod"
 ]
 
 

@@ -1,16 +1,17 @@
 """Planted faults and brute-force models for the graded sweep kernels.
 
 The reciprocity sweep reads only one support-graded piece of each δ(h), the
-oracle memoises word coproducts, and Solomon's rule counts matrices through a
-merged-state DP.  Each test here either breaks an input on purpose and checks
-that the law notices, or compares a kernel with a slow model written below.
+oracle memoises word coproducts, Solomon's rule counts matrices through a
+merged-state DP, and ∘ runs large support groups on block masks.  Each test
+here either breaks an input on purpose and checks that the law notices, or
+compares a kernel with a slow model written below.
 """
 
 import itertools
 
 import pytest
 
-from twisted_descents import verify
+from twisted_descents import algebra, verify
 from twisted_descents.algebra import TensorElement, basis
 from twisted_descents.oracle import (
     all_words,
@@ -138,3 +139,26 @@ def test_unshuffling_reports_a_zero_composition(monkeypatch):
     result = next(r for r in results if r.law == "unshuffling")
     assert not result.ok
     assert result.detail == "sc=1*[{1,2,3}], sigma=(1, 2, 3), got 0"
+
+
+def test_solomon_sweep_catches_a_broken_mask_composition(monkeypatch):
+    # orbit sums of weight 4 have up to 24 terms, so their ∘ runs on block
+    # masks; here every product made there loses its last cut, that is, its
+    # last two blocks merge
+    real = algebra._MaskGroup.multiply
+
+    def multiply(self, a, ca, acc):
+        made: dict = {}
+        real(self, a, ca, made)
+        for key, c in made.items():
+            if len(key) > 1:
+                key = key[:-2] + (key[-2] | key[-1],)
+                self.index.set(key[-1])
+            acc[key] = acc.get(key, 0) + c
+
+    cfg = verify.Config(max_n=4, seed=0)
+    assert all(r.ok for r in verify.run_suite("solomon", cfg))
+    monkeypatch.setattr(algebra._MaskGroup, "multiply", multiply)
+    result = next(r for r in verify.run_suite("solomon", cfg) if r.law == "truncation")
+    assert not result.ok
+    assert result.detail == "(1, 1, 1, 1) o (1, 1, 1, 1)"

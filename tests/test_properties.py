@@ -1,9 +1,13 @@
 """Randomized law checks; hypothesis shrinks any counterexample it finds."""
 
+import itertools
+import math
+
 import hypothesis.strategies as st
 from hypothesis import HealthCheck, given, settings
 
 from twisted_descents.algebra import (
+    _MASK_PAIRS,
     TDElement,
     UNIT,
     act,
@@ -19,6 +23,7 @@ from twisted_descents.algebra import (
     tensor_composition,
     tensor_convolution,
 )
+from twisted_descents.limits import MAX_LABEL
 from twisted_descents.oracle import endo_compose, endo_of, represent
 from twisted_descents.permutations import compose, symmetric_group
 from twisted_descents.setcomp import SetComposition, compositions
@@ -36,9 +41,9 @@ UNIVERSE = (1, 2, 3, 4)
 
 
 @st.composite
-def set_comps(draw, universe=UNIVERSE):
-    elems = sorted(draw(st.sets(st.sampled_from(universe))))
-    order = draw(st.permutations(elems))
+def comps_on(draw, support):
+    """A set composition whose support is exactly ``support``."""
+    order = draw(st.permutations(sorted(support)))
     blocks: list = []
     for x in order:
         if blocks and draw(st.booleans()):
@@ -46,6 +51,11 @@ def set_comps(draw, universe=UNIVERSE):
         else:
             blocks.append([x])
     return SetComposition(blocks)
+
+
+@st.composite
+def set_comps(draw, universe=UNIVERSE):
+    return draw(comps_on(draw(st.sets(st.sampled_from(universe)))))
 
 
 @st.composite
@@ -211,3 +221,114 @@ def test_composition_product_matches_all_pairs(x, y):
                 acc[key] = acc.get(key, 0) + ca * cb
     want = [(k, c) for k, c in acc.items() if c]
     assert list(composition_product(x, y).terms.items()) == want
+
+
+# The products below are checked against all-pairs loops over the basis
+# kernels and against a δ written from its definition.  Labels reach
+# MAX_LABEL, and one support carries enough terms on both sides that its
+# group of ∘ term pairs reaches _MASK_PAIRS.
+WIDE = (1, 2, 3, MAX_LABEL - 2, MAX_LABEL - 1, MAX_LABEL)
+HEAVY = math.isqrt(_MASK_PAIRS - 1) + 1  # terms per side on the shared support
+
+
+@st.composite
+def heavy_pairs(draw):
+    """x, y with at least HEAVY distinct terms each on one support of 3 to 5
+    labels, and a few terms on other supports.  x may hold a chamber, which
+    absorbs ∘ from the right, and y's main coefficients may sum to zero: then
+    that chamber's products cancel."""
+    main = draw(st.sets(st.sampled_from(WIDE), min_size=3, max_size=5))
+    sides = []
+    for _ in range(2):
+        comps = draw(st.lists(comps_on(main), min_size=HEAVY, max_size=HEAVY + 4, unique=True))
+        coeffs = [draw(st.sampled_from([-2, -1, 1, 2])) for _ in comps]
+        terms = dict(zip(comps, coeffs))
+        for _ in range(draw(st.integers(0, 3))):
+            terms[draw(set_comps(WIDE))] = draw(st.integers(-2, 2))
+        sides.append(terms)
+    x, y = sides
+    if draw(st.booleans()):
+        x[SetComposition([[v] for v in draw(st.permutations(sorted(main)))])] = 1
+    if draw(st.booleans()):
+        main_terms = [b for b in y if b.support == main]
+        y[main_terms[-1]] -= sum(y[b] for b in main_terms)
+    return TDElement(x), TDElement(y)
+
+
+def all_pairs(x, y, kernel) -> dict:
+    acc: dict = {}
+    for a, ca in x.terms.items():
+        for b, cb in y.terms.items():
+            key = kernel(a, b)
+            if key is not None:
+                acc[key] = acc.get(key, 0) + ca * cb
+    return {k: c for k, c in acc.items() if c}
+
+
+@common
+@given(xy=heavy_pairs())
+def test_graded_products_match_all_pairs(xy):
+    x, y = xy
+    assert sum(a.support == b.support for a in x.terms for b in y.terms) >= _MASK_PAIRS
+    got = composition_product(x, y)
+    assert list(got.terms.items()) == list(all_pairs(x, y, compose_basis).items())
+    assert convolution(x, y).terms == all_pairs(x, y, conv_basis)
+    assert convolution(y, x).terms == all_pairs(y, x, conv_basis)
+
+
+def coproduct_by_subsets(x) -> dict:
+    """δ from its definition: one term per subset L of the support."""
+    acc: dict = {}
+    for sc, c in x.terms.items():
+        labels = sorted(sc.support)
+        for r in range(len(labels) + 1):
+            for chosen in itertools.combinations(labels, r):
+                left = frozenset(chosen)
+                key = (
+                    SetComposition([b & left for b in sc.sets if b & left]),
+                    SetComposition([b - left for b in sc.sets if b - left]),
+                )
+                acc[key] = acc.get(key, 0) + c
+    return {k: c for k, c in acc.items() if c}
+
+
+@st.composite
+def cancelling_elements(draw):
+    """sc - merged + a few terms: merged is sc with two adjacent blocks joined,
+    and the δ terms the two share cancel."""
+    sc = draw(set_comps(WIDE).filter(lambda c: len(c) >= 2))
+    i = draw(st.integers(0, len(sc) - 2))
+    blocks = list(sc.sets)
+    merged = SetComposition(blocks[:i] + [blocks[i] | blocks[i + 1]] + blocks[i + 2 :])
+    terms = {sc: 1, merged: -1}
+    for _ in range(draw(st.integers(0, 3))):
+        terms[draw(set_comps(WIDE))] = draw(st.integers(-2, 2))
+    return TDElement(terms)
+
+
+@common
+@given(x=cancelling_elements(), sc=set_comps(WIDE))
+def test_coproduct_matches_its_definition(x, sc):
+    for elem in (x, TDElement({sc: -3})):
+        assert coproduct(elem).terms == coproduct_by_subsets(elem)
+
+
+def tensor_all_pairs(x, y) -> dict:
+    acc: dict = {}
+    for (al, ar), ca in x.terms.items():
+        for (bl, br), cb in y.terms.items():
+            left, right = compose_basis(al, bl), compose_basis(ar, br)
+            if left is not None and right is not None:
+                acc[(left, right)] = acc.get((left, right), 0) + ca * cb
+    return {k: c for k, c in acc.items() if c}
+
+
+@common
+@given(x=cancelling_elements(), y=mixed_support_elements(), z=elements(), w=elements())
+def test_tensor_composition_matches_all_pairs(x, y, z, w):
+    dx, dy = coproduct(x), coproduct(y)
+    assert tensor_composition(dx, dx).terms == tensor_all_pairs(dx, dx)
+    assert tensor_composition(dy, dy).terms == tensor_all_pairs(dy, dy)
+    t = tensor(z, w) + tensor(w, z)
+    assert tensor_composition(t, dy).terms == tensor_all_pairs(t, dy)
+    assert tensor_composition(t, t).terms == tensor_all_pairs(t, t)
