@@ -220,32 +220,18 @@ def _check_pairs(what: str, requested: int, max_terms: int) -> None:
         )
 
 
-def _by_support(x: TDElement) -> dict:
-    """The terms of x as {support: [(key, coeff), ...]}, in term order."""
-    out: dict = {}
-    for key, coeff in x.terms.items():
-        out.setdefault(key.support, []).append((key, coeff))
-    return out
-
-
 def convolution(x: TDElement, y: TDElement, max_terms: int = MAX_TERMS) -> TDElement:
     """Bilinear concatenation; overlapping supports annihilate.
 
-    ∗ is graded by support, so the terms of each side are grouped by support
-    and a pair of groups whose supports overlap is dropped with one test; the
-    pairs of the other groups go through ``conv_basis``.
     Raises SizeLimitError when |x|·|y| term pairs exceed ``max_terms``.
     """
     _check_pairs("convolution", len(x.terms) * len(y.terms), max_terms)
-    y_groups = _by_support(y).items()
     acc: dict = {}
-    for s, x_terms in _by_support(x).items():
-        for t, y_terms in y_groups:
-            if s.isdisjoint(t):
-                for a, ca in x_terms:
-                    for b, cb in y_terms:
-                        key = conv_basis(a, b)
-                        acc[key] = acc.get(key, 0) + ca * cb
+    for a, ca in x.terms.items():
+        for b, cb in y.terms.items():
+            key = conv_basis(a, b)
+            if key is not None:
+                acc[key] = acc.get(key, 0) + ca * cb
     return TDElement._make(_clean(acc))
 
 
@@ -343,7 +329,9 @@ def composition_product(x: TDElement, y: TDElement, max_terms: int = MAX_TERMS) 
     """
     pairs = len(x.terms) * len(y.terms)
     _check_pairs("composition product", pairs, max_terms)
-    groups = _by_support(y)
+    groups: dict = {}  # support -> [(b, cb), ...] in term order
+    for b, cb in y.terms.items():
+        groups.setdefault(b.support, []).append((b, cb))
     index = None
     if pairs >= _MASK_PAIRS:
         x_sizes = Counter(a.support for a in x.terms)
@@ -514,23 +502,3 @@ def graded_component(x: TDElement, s: Iterable[int]) -> TDElement:
     """The sub-sum of terms whose support equals s."""
     s = check_ground_set(s)
     return TDElement._make({sc: c for sc, c in x.terms.items() if sc.support == s})
-
-
-def coproduct_iterated(x: TDElement, legs: int) -> dict:
-    """δ applied (legs-1) times, as a map from tuples of compositions to ints.
-
-    Expands on the leftmost leg each time; coassociativity (tested) makes the
-    choice immaterial.
-    """
-    if legs < 1:
-        raise ValueError("need at least one tensor leg")
-    acc: dict = {(sc,): c for sc, c in x.terms.items()}
-    for _ in range(legs - 1):
-        nxt: dict = {}
-        for key, coeff in acc.items():
-            head = TDElement._make({key[0]: 1})
-            for (l, r), c in coproduct(head).terms.items():
-                k2 = (l, r) + key[1:]
-                nxt[k2] = nxt.get(k2, 0) + coeff * c
-        acc = _clean(nxt)
-    return acc

@@ -91,16 +91,10 @@ def _emit(args: argparse.Namespace, text, obj) -> None:
         print(text())
 
 
-def cmd_conv(args) -> int:
+def cmd_product(args) -> int:
+    """``conv`` or ``comp``: ``args.product`` of the two parsed elements."""
     max_terms = _max_terms(args)
-    result = convolution(parse(args.a), parse(args.b), max_terms)
-    _emit(args, lambda: render(result), lambda: element_to_json(result))
-    return EXIT_OK
-
-
-def cmd_comp(args) -> int:
-    max_terms = _max_terms(args)
-    result = composition_product(parse(args.a), parse(args.b), max_terms)
+    result = args.product(parse(args.a), parse(args.b), max_terms)
     _emit(args, lambda: render(result), lambda: element_to_json(result))
     return EXIT_OK
 
@@ -179,15 +173,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("conv", parents=[capped], help="convolution product of two elements")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.set_defaults(fn=cmd_conv)
-
-    p = sub.add_parser("comp", parents=[capped], help="composition product of two elements")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.set_defaults(fn=cmd_comp)
+    for name, what, product in [("conv", "convolution", convolution),
+                                ("comp", "composition", composition_product)]:
+        p = sub.add_parser(name, parents=[capped], help=f"{what} product of two elements")
+        p.add_argument("a")
+        p.add_argument("b")
+        p.set_defaults(fn=cmd_product, product=product)
 
     p = sub.add_parser("coprod", parents=[capped], help="coproduct of an element")
     p.add_argument("a")

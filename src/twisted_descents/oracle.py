@@ -212,26 +212,3 @@ def oracle_check_composition(
     lhs = endo_compose(represent(a, ground), represent(b, ground))
     rhs = endo_of(composition_product(basis(a), basis(b)), ground)
     return lhs == rhs
-
-
-def _render_word(w: BWord) -> str:
-    if not w.sets:
-        return "1"
-    return "".join("a{" + ",".join(map(str, b)) + "}" for b in w.blocks)
-
-
-def dump(endo: Endomorphism) -> str:
-    """One line per word: ``a{1}a{2} -> 1*a{1}a{2}`` (zero images as ``0``)."""
-    lines = []
-    for w in sorted(endo.table, key=lambda s: s.sort_key):
-        img = endo.table[w]
-        if not img:
-            body = "0"
-        else:
-            parts = [
-                f"{img[w2]}*{_render_word(w2)}"
-                for w2 in sorted(img, key=lambda s: s.sort_key)
-            ]
-            body = " + ".join(parts)
-        lines.append(f"{_render_word(w)} -> {body}")
-    return "\n".join(lines)

@@ -9,7 +9,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Iterator
 
-from .setcomp import as_increasing_partition, check_composition
+from .setcomp import check_composition
 
 
 def check_permutation(values: Iterable[int]) -> tuple[int, ...]:
@@ -84,18 +84,6 @@ def shuffles(parts: Iterable[int]) -> Iterator[tuple[int, ...]]:
     """
     for p in descent_class(parts):
         yield inverse(p)
-
-
-def enumerate_shuffles(parts) -> Iterator[tuple[int, ...]]:
-    """The shuffles of an increasing partition of [n].
-
-    ``parts`` is a sequence of sets (or block sizes, expanded to consecutive
-    intervals).  A shuffle interleaves the blocks while keeping each block's
-    internal order; the shuffles are exactly the inverses of the permutations
-    whose descent set lies within the type's partial sums.
-    """
-    blocks = as_increasing_partition(parts)
-    yield from shuffles(tuple(len(b) for b in blocks))
 
 
 def young_subgroup(parts: Iterable[int]) -> Iterator[tuple[int, ...]]:

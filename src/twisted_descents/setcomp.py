@@ -123,11 +123,6 @@ class SetComposition:
 EMPTY = SetComposition(())
 
 
-def support(sc: SetComposition) -> frozenset[int]:
-    """The union of all blocks (the grading degree of the basis element)."""
-    return sc.support
-
-
 def type_of(sc: SetComposition) -> tuple[int, ...]:
     """The integer composition of block sizes, e.g. ({3,5},{1,4}) -> (2,2)."""
     return tuple(len(b) for b in sc.sets)

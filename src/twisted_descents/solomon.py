@@ -220,20 +220,24 @@ def star(x: GroupAlgebraElement) -> GroupAlgebraElement:
     return GroupAlgebraElement._make({inverse(p): c for p, c in x.terms.items()})
 
 
+def _cut_chamber(parts, p: Iterable[int]) -> tuple[SetComposition, tuple[int, ...]]:
+    """The chamber 1_(S1,...,Sk) o 1_p, and p checked against the partition of [n]."""
+    blocks = as_increasing_partition(parts)
+    p = check_permutation(p)
+    n = sum(len(b) for b in blocks)
+    if len(p) != n:
+        raise ValueError(f"permutation degree {len(p)} does not match partition of [{n}]")
+    return compose_basis(SetComposition(blocks), permutation_basis(p)), p
+
+
 def shuffle_test(parts, p: Iterable[int]) -> bool:
     """Is p a shuffle of the given increasing partition?
 
     Decided by the composition product: p is a shuffle exactly when
     1_(S1,...,Sk) o 1_p is the identity chamber ({1},...,{n}).
     """
-    blocks = as_increasing_partition(parts)
-    p = check_permutation(p)
-    n = sum(len(b) for b in blocks)
-    if len(p) != n:
-        raise ValueError(f"permutation degree {len(p)} does not match partition of [{n}]")
-    source = SetComposition(blocks)
-    product = compose_basis(source, permutation_basis(p))
-    return product is not None and product == permutation_basis(identity(n))
+    cham, p = _cut_chamber(parts, p)
+    return cham == permutation_basis(identity(len(p)))
 
 
 def young_decompose(parts, p: Iterable[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -242,13 +246,7 @@ def young_decompose(parts, p: Iterable[int]) -> tuple[tuple[int, ...], tuple[int
     beta is read off the chamber 1_(S1,...,Sk) o 1_p positionally; then
     tau = beta^{-1} . p.
     """
-    blocks = as_increasing_partition(parts)
-    p = check_permutation(p)
-    n = sum(len(b) for b in blocks)
-    if len(p) != n:
-        raise ValueError(f"permutation degree {len(p)} does not match partition of [{n}]")
-    source = SetComposition(blocks)
-    cham = compose_basis(source, permutation_basis(p))
+    cham, p = _cut_chamber(parts, p)
     beta = chamber_word(cham)
     tau = compose(inverse(beta), p)
     return beta, tau

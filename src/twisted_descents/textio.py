@@ -159,7 +159,7 @@ def _join_terms(parts: list[tuple[int, str]]) -> str:
 
 
 def _bracket_renderer():
-    """``render_blocks`` that builds the text of each distinct block once.
+    """A ``[{..}|{..}]`` renderer that builds the text of each distinct block once.
 
     The terms of one product share most of their block objects.
     """
@@ -175,10 +175,6 @@ def _bracket_renderer():
         return "[" + "|".join(parts) + "]"
 
     return bracket
-
-
-def render_blocks(sc: SetComposition) -> str:
-    return _bracket_renderer()(sc)
 
 
 def render(x: TDElement) -> str:

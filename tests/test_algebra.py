@@ -16,7 +16,6 @@ from twisted_descents.algebra import (
     conv_basis,
     convolution,
     coproduct,
-    coproduct_iterated,
     graded_component,
     multiply_tensor_legs,
     permutation_basis,
@@ -262,19 +261,17 @@ def test_kernels_match_public_ops():
     assert compose_basis(a, sc({1, 2})) is None
 
 
-def test_coproduct_iterated_matches_both_orders():
+def test_coproduct_is_coassociative_on_small_words():
+    # (δ ⊗ id)δ(x) = (id ⊗ δ)δ(x), each leg expanded through coproduct
     for sub in [(1, 2), (1, 2, 3)]:
         for comp in enumerate_set_compositions(sub):
-            x = basis(comp)
-            left = coproduct_iterated(x, 3)
-            right = {}
-            for (l, r), c in coproduct(x).terms.items():
+            left, right = {}, {}
+            for (l, r), c in coproduct(basis(comp)).terms.items():
+                for (l1, l2), c2 in coproduct(basis(l)).terms.items():
+                    left[(l1, l2, r)] = left.get((l1, l2, r), 0) + c * c2
                 for (r1, r2), c2 in coproduct(basis(r)).terms.items():
                     right[(l, r1, r2)] = right.get((l, r1, r2), 0) + c * c2
-            assert left == {k: v for k, v in right.items() if v}
-    assert coproduct_iterated(UNIT, 1) == {(sc(),): 1}
-    with pytest.raises(ValueError):
-        coproduct_iterated(UNIT, 0)
+            assert left == right
 
 
 def test_associativity_exhaustive_small():

@@ -10,7 +10,6 @@ from twisted_descents.oracle import (
     b_coproduct,
     b_product,
     characteristic_endo,
-    dump,
     endo_compose,
     endo_convolution,
     endo_of,
@@ -167,15 +166,19 @@ def test_endomorphism_equality():
         endo_compose(e1, e3)
 
 
-def test_dump_format():
+def test_endomorphism_tables():
     e = characteristic_endo({1}, (1,))
-    assert dump(e) == "1 -> 0\na{1} -> 1*a{1}"
-    lines = dump(represent(word({1}, {2}), (1, 2))).splitlines()
-    assert "a{2}a{1} -> 1*a{1}a{2}" in lines
-    assert "a{1,2} -> 0" in lines
+    assert e.table == {EMPTY: {}, word({1}): {word({1}): 1}}
+    table = represent(word({1}, {2}), (1, 2)).table
+    assert table[word({2}, {1})] == {word({1}, {2}): 1}
+    assert table[word({1, 2})] == {}
 
 
 def test_distinct_compositions_have_distinct_endomorphisms():
     universe = (1, 2, 3)
-    dumps = {dump(represent(c, universe)) for c in enumerate_set_compositions(universe)}
-    assert len(dumps) == 13
+
+    def key(c):  # a table, hashable as the freeness law compares it
+        table = represent(c, universe).table
+        return frozenset((w, frozenset(image.items())) for w, image in table.items())
+
+    assert len({key(c) for c in enumerate_set_compositions(universe)}) == 13

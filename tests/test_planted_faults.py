@@ -2,7 +2,8 @@
 
 The reciprocity sweep reads only one support-graded piece of each δ(h), the
 oracle memoises word coproducts, Solomon's rule counts matrices through a
-merged-state DP, and ∘ runs large support groups on block masks.  Each test
+merged-state DP, ∘ runs large support groups on block masks, and the
+coassociativity law expands the legs of δ(x) from one table of δ.  Each test
 here either breaks an input on purpose and checks that the law notices, or
 compares a kernel with a slow model written below.
 """
@@ -29,12 +30,12 @@ LEFT_SUPPORTS = [
 ]
 
 
-def _faulty_coproduct(real, left, mode):
-    """δ with one term of δ(H), the first whose left leg has support ``left``, broken."""
+def _faulty_coproduct(real, left, mode, word=H):
+    """δ with one term of δ(word), the first whose left leg has support ``left``, broken."""
 
     def coproduct(x, *args, **kwargs):
         out = real(x, *args, **kwargs)
-        if set(x.terms) != {H}:
+        if set(x.terms) != {word}:
             return out
         terms = dict(out.terms)
         victim = next(k for k in terms if k[0].support == left)
@@ -56,6 +57,19 @@ def test_reciprocity_sweep_catches_a_broken_coproduct_term(monkeypatch, left, mo
     assert not result.ok
     # every h before H in the sweep passed, so the fault is what failed
     assert f"h={render(basis(H))}" in result.detail
+
+
+@pytest.mark.parametrize("mode", ["drop", "coefficient"])
+@pytest.mark.parametrize("left", LEFT_SUPPORTS, ids=lambda s: "A=" + "".join(map(str, sorted(s))))
+def test_coassociativity_catches_a_broken_coproduct_term(monkeypatch, left, mode):
+    word = SetComposition([[2], [1], [3]])
+    monkeypatch.setattr(verify, "coproduct", _faulty_coproduct(verify.coproduct, left, mode, word))
+    results = verify.suite_bialgebra(verify.Config(max_n=2))
+    result = next(r for r in results if r.law == "coassociative-cocommutative")
+    # no word before this one has it as a leg of its δ, so the fault is what failed
+    assert result.line() == (
+        "FAIL [bialgebra] coassociative-cocommutative: coassociativity fails on 1*[{2}|{1}|{3}]"
+    )
 
 
 def _margin_matrices(rows, cols):

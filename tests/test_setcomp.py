@@ -11,17 +11,16 @@ from twisted_descents.setcomp import (
     interval_partition,
     is_increasing_partition,
     multinomial,
-    support,
     type_of,
 )
 
 
 def test_construction_and_support():
     sc = SetComposition([[3, 5], [1, 4]])
-    assert support(sc) == frozenset({1, 3, 4, 5})
+    assert sc.support == frozenset({1, 3, 4, 5})
     assert sc.blocks == ((3, 5), (1, 4))
-    assert support(EMPTY) == frozenset()
-    assert support(SetComposition([[2, 3, 5]])) == frozenset({2, 3, 5})
+    assert EMPTY.support == frozenset()
+    assert SetComposition([[2, 3, 5]]).support == frozenset({2, 3, 5})
 
 
 def test_type_of():

@@ -28,6 +28,12 @@ def test_pass_detail_counts_the_cases_checked():
     assert checked == pulled == [0, 1, 2, 3, 4]
 
 
+def test_a_sweep_with_no_case_is_vacuous_not_a_pass():
+    result = _sweep("s", "law", _counting([], 0), lambda i: None, lambda k: f"{k} cases")
+    assert not result.ok
+    assert result.line() == "VACUOUS [s] law: no case checked (0 cases)"
+
+
 def test_single_and_trial_helpers():
     assert _single("s", "law", lambda: None, "fixed").line() == "PASS [s] law: fixed"
     assert _single("s", "law", lambda: "got 1", "fixed").line() == "FAIL [s] law: got 1"

@@ -11,7 +11,6 @@ from twisted_descents.textio import (
     parse_ints,
     parse_permutation,
     render,
-    render_blocks,
     render_composition,
     render_permutation,
     render_tensor,
@@ -155,5 +154,5 @@ def test_small_parsers():
 
 
 def test_render_blocks():
-    assert render_blocks(SetComposition(({3, 5}, {1, 4}))) == "[{3,5}|{1,4}]"
-    assert render_blocks(SetComposition(())) == "[]"
+    assert render(basis(SetComposition(({3, 5}, {1, 4})))) == "1*[{3,5}|{1,4}]"
+    assert render(basis(SetComposition(()))) == "1*[]"
