@@ -92,9 +92,12 @@ def _emit(args: argparse.Namespace, text, obj) -> None:
 
 
 def cmd_product(args) -> int:
-    """``conv`` or ``comp``: ``args.product`` of the two parsed elements."""
+    """``conv`` or ``comp``: that product of the two parsed elements."""
+    # Looked up per call, not stored in the cached parser, so the module's
+    # current binding of each product is the one that runs.
+    product = convolution if args.command == "conv" else composition_product
     max_terms = _max_terms(args)
-    result = args.product(parse(args.a), parse(args.b), max_terms)
+    result = product(parse(args.a), parse(args.b), max_terms)
     _emit(args, lambda: render(result), lambda: element_to_json(result))
     return EXIT_OK
 
@@ -173,12 +176,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, what, product in [("conv", "convolution", convolution),
-                                ("comp", "composition", composition_product)]:
+    for name, what in [("conv", "convolution"), ("comp", "composition")]:
         p = sub.add_parser(name, parents=[capped], help=f"{what} product of two elements")
         p.add_argument("a")
         p.add_argument("b")
-        p.set_defaults(fn=cmd_product, product=product)
+        p.set_defaults(fn=cmd_product)
 
     p = sub.add_parser("coprod", parents=[capped], help="coproduct of an element")
     p.add_argument("a")

@@ -335,6 +335,8 @@ def suite_bialgebra(cfg: Config) -> list[LawResult]:
     def coassociative_cocommutative(sc, d, deltas):
         diff: dict = {}  # (δ ⊗ id)δ(x) − (id ⊗ δ)δ(x)
         for (l, r), c in d.terms.items():
+            if l not in deltas or r not in deltas:
+                return f"coproduct leg outside [co_n] on {render(basis(sc))}"
             for (l1, l2), c2 in deltas[l].terms.items():
                 diff[(l1, l2, r)] = diff.get((l1, l2, r), 0) + c * c2
             for (r1, r2), c2 in deltas[r].terms.items():

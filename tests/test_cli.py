@@ -258,6 +258,24 @@ def test_cached_parser_keeps_no_state_between_calls(capsys):
     assert (code, out) == (EXIT_OK, "1*[{3,5}|{1,4}]\n")
 
 
+@pytest.mark.parametrize(
+    "command, name", [("conv", "convolution"), ("comp", "composition_product")]
+)
+def test_products_resolve_at_call_time(capsys, monkeypatch, command, name):
+    # the parser is built once per process; a product rebound on the module
+    # afterwards (as a call tracer does) must still be the one that runs
+    cli._parser()
+    real, seen = getattr(cli, name), []
+
+    def wrapped(*args, **kwargs):
+        seen.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, wrapped)
+    code, _, _ = run(capsys, command, "[{1}]", "[{1}]")
+    assert code == EXIT_OK and len(seen) == 1
+
+
 def test_verify_single_suite(capsys, monkeypatch):
     monkeypatch.setenv("TDA_MAX_TERMS", "junk")  # verify reads no term cap
     code, out, _ = run(capsys, "verify", "dims")

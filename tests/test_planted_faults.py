@@ -72,6 +72,26 @@ def test_coassociativity_catches_a_broken_coproduct_term(monkeypatch, left, mode
     )
 
 
+def test_coassociativity_reports_a_coproduct_leg_outside_the_table(monkeypatch):
+    word = SetComposition([[2], [1], [3]])
+    stray = SetComposition([[9]])
+    real = verify.coproduct
+
+    def coproduct(x, *args, **kwargs):
+        out = real(x, *args, **kwargs)
+        if set(x.terms) != {word}:
+            return out
+        return TensorElement({**out.terms, (stray, word): 1})
+
+    monkeypatch.setattr(verify, "coproduct", coproduct)
+    results = verify.suite_bialgebra(verify.Config(max_n=2))
+    result = next(r for r in results if r.law == "coassociative-cocommutative")
+    assert result.line() == (
+        "FAIL [bialgebra] coassociative-cocommutative:"
+        " coproduct leg outside [co_n] on 1*[{2}|{1}|{3}]"
+    )
+
+
 def _margin_matrices(rows, cols):
     """Every nonnegative integer matrix with the given margins, by brute force."""
     candidates = [
