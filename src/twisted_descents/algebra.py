@@ -18,7 +18,7 @@ import itertools
 from collections import Counter
 from typing import Iterable, Iterator, Mapping
 
-from .limits import MAX_TERMS, SizeLimitError
+from .limits import MAX_TERMS, check_size
 from .permutations import check_permutation, inverse
 from .setcomp import EMPTY, SetComposition, check_ground_set
 
@@ -213,19 +213,12 @@ def chamber_word(sc: SetComposition) -> tuple[int, ...]:
     return tuple(next(iter(b)) for b in sc.sets)
 
 
-def _check_pairs(what: str, requested: int, max_terms: int) -> None:
-    if requested > max_terms:
-        raise SizeLimitError(
-            f"{what} would pair {requested} terms (cap {max_terms})", max_terms, requested
-        )
-
-
 def convolution(x: TDElement, y: TDElement, max_terms: int = MAX_TERMS) -> TDElement:
     """Bilinear concatenation; overlapping supports annihilate.
 
     Raises SizeLimitError when |x|·|y| term pairs exceed ``max_terms``.
     """
-    _check_pairs("convolution", len(x.terms) * len(y.terms), max_terms)
+    check_size("convolution term pairs", len(x.terms) * len(y.terms), max_terms)
     acc: dict = {}
     for a, ca in x.terms.items():
         for b, cb in y.terms.items():
@@ -328,7 +321,7 @@ def composition_product(x: TDElement, y: TDElement, max_terms: int = MAX_TERMS) 
     Raises SizeLimitError when |x|·|y| term pairs exceed ``max_terms``.
     """
     pairs = len(x.terms) * len(y.terms)
-    _check_pairs("composition product", pairs, max_terms)
+    check_size("composition product term pairs", pairs, max_terms)
     groups: dict = {}  # support -> [(b, cb), ...] in term order
     for b, cb in y.terms.items():
         groups.setdefault(b.support, []).append((b, cb))
@@ -368,13 +361,7 @@ def coproduct(x: TDElement, max_terms: int = MAX_TERMS) -> TensorElement:
     TAOCP 4A, §7.1.3), over a bit index local to this call; each leg block
     and leg support is built once per mask.
     """
-    requested = sum(1 << len(sc.support) for sc in x.terms)
-    if requested > max_terms:
-        raise SizeLimitError(
-            f"coproduct would make {requested} terms (cap {max_terms})",
-            max_terms,
-            requested,
-        )
+    check_size("coproduct terms", sum(1 << len(sc.support) for sc in x.terms), max_terms)
     index = _BitIndex()
     sets = index.sets
     make = SetComposition._make
@@ -418,7 +405,7 @@ def tensor_convolution(x: TensorElement, y: TensorElement) -> TensorElement:
 
     Raises SizeLimitError when |x|·|y| term pairs exceed ``MAX_TERMS``.
     """
-    _check_pairs("tensor convolution", len(x.terms) * len(y.terms), MAX_TERMS)
+    check_size("tensor convolution term pairs", len(x.terms) * len(y.terms), MAX_TERMS)
     acc: dict = {}
     for (al, ar), ca in x.terms.items():
         for (bl, br), cb in y.terms.items():
@@ -447,7 +434,7 @@ def tensor_composition(x: TensorElement, y: TensorElement) -> TensorElement:
         (al, ar, ca, by_supports.get((al.support, ar.support), ()))
         for (al, ar), ca in x.terms.items()
     ]
-    _check_pairs("tensor composition", sum(len(m[3]) for m in matched), MAX_TERMS)
+    check_size("tensor composition term pairs", sum(len(m[3]) for m in matched), MAX_TERMS)
     acc: dict = {}
     for al, ar, ca, y_terms in matched:
         for bl, br, cb in y_terms:

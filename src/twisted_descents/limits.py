@@ -32,3 +32,9 @@ class SizeLimitError(Exception):
         super().__init__(message)
         self.cap = cap
         self.requested = requested
+
+
+def check_size(what: str, requested: int, cap: int) -> None:
+    """Raise SizeLimitError when ``requested`` exceeds ``cap``."""
+    if requested > cap:
+        raise SizeLimitError(f"{what}: {requested} requested, cap {cap}", cap, requested)

@@ -16,7 +16,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .algebra import TDElement
-from .limits import ORACLE_SUPPORT_CAP, SizeLimitError
+from .limits import ORACLE_SUPPORT_CAP, check_size
 from .setcomp import (
     SetComposition,
     check_ground_set,
@@ -81,13 +81,7 @@ def _coproducts_of(universe: tuple[int, ...]) -> Mapping[BWord, tuple]:
 def all_words(universe: Iterable[int], cap: int = ORACLE_SUPPORT_CAP) -> tuple[BWord, ...]:
     """Every word whose support is a subset of the universe."""
     ground = check_ground_set(universe)
-    if len(ground) > cap:
-        raise SizeLimitError(
-            f"refusing a word table over a {len(ground)}-element universe"
-            f" (cap {cap})",
-            cap,
-            len(ground),
-        )
+    check_size("word-table universe size", len(ground), cap)
     return _words_of(tuple(sorted(ground)))
 
 
@@ -205,10 +199,7 @@ def oracle_check_composition(
     from .algebra import basis, composition_product
 
     ground = check_ground_set(universe if universe is not None else a.support | b.support)
-    if len(ground) > cap:
-        raise SizeLimitError(
-            f"oracle universe {sorted(ground)} exceeds cap {cap}", cap, len(ground)
-        )
+    check_size("oracle universe size", len(ground), cap)
     lhs = endo_compose(represent(a, ground), represent(b, ground))
     rhs = endo_of(composition_product(basis(a), basis(b)), ground)
     return lhs == rhs

@@ -16,7 +16,7 @@ import itertools
 import math
 from typing import Iterable, Iterator
 
-from .limits import ENUMERATION_CAP, MAX_LABEL, SizeLimitError
+from .limits import ENUMERATION_CAP, MAX_LABEL, check_size
 
 
 def check_ground_set(elements: Iterable[int]) -> frozenset[int]:
@@ -137,10 +137,6 @@ def check_composition(parts: Iterable[int]) -> tuple[int, ...]:
     return c
 
 
-def weight(parts: Iterable[int]) -> int:
-    return sum(check_composition(parts))
-
-
 def compositions(n: int) -> Iterator[tuple[int, ...]]:
     """All integer compositions of n, in lexicographic order; () for n = 0."""
     if n < 0:
@@ -172,13 +168,7 @@ def enumerate_set_compositions(
     is the Fubini number of ``|s|``.
     """
     ground = check_ground_set(s)
-    if len(ground) > cap:
-        raise SizeLimitError(
-            f"refusing to enumerate set compositions of a {len(ground)}-element set"
-            f" (cap {cap})",
-            cap,
-            len(ground),
-        )
+    check_size("set-composition ground-set size", len(ground), cap)
     n = len(ground)
     if n == 0:
         yield EMPTY

@@ -22,7 +22,7 @@ from .algebra import (
     composition_product,
     permutation_basis,
 )
-from .limits import DESCENT_CLASS_CAP, MAX_TERMS, SizeLimitError
+from .limits import DESCENT_CLASS_CAP, MAX_TERMS, check_size
 from .permutations import (
     check_permutation,
     compose,
@@ -38,8 +38,8 @@ from .setcomp import (
     check_ground_set,
     compositions,
     multinomial,
-    type_of,
 )
+from .textio import _join_terms, render_composition, render_permutation
 
 
 class DescentElement(_Linear):
@@ -68,9 +68,7 @@ class DescentElement(_Linear):
             yield c, self.terms[c]
 
     def __repr__(self) -> str:
-        from .textio import render_composition
-
-        body = " + ".join(f"{c}*{render_composition(k)}" for k, c in self) or "0"
+        body = _join_terms([(c, render_composition(k)) for k, c in self])
         return f"<DescentElement {body}>"
 
 
@@ -100,7 +98,7 @@ class GroupAlgebraElement(_Linear):
             yield p, self.terms[p]
 
     def __repr__(self) -> str:
-        body = " + ".join(f"{c}*({','.join(map(str, p))})" for p, c in self) or "0"
+        body = _join_terms([(c, f"({render_permutation(p)})") for p, c in self])
         return f"<GroupAlgebraElement {body}>"
 
 
@@ -167,11 +165,8 @@ def descent_basis_expand(
     ground = check_ground_set(s)
     if sum(c) != len(ground):
         raise ValueError(f"composition {c} has weight {sum(c)}, set has size {len(ground)}")
-    size = multinomial(c)
-    if c and size > max_terms:
-        raise SizeLimitError(
-            f"type {c} expands to {size} terms (cap {max_terms})", max_terms, size
-        )
+    if c:
+        check_size(f"type {c} expansion terms", multinomial(c), max_terms)
     terms: dict[SetComposition, int] = {}
 
     def rec(blocks: tuple[frozenset[int], ...], left: frozenset[int], i: int):
@@ -210,8 +205,7 @@ def descent_class(c: Iterable[int], cap: int = DESCENT_CLASS_CAP) -> GroupAlgebr
     """D_C: the sum of permutations with descent set inside C's partial sums."""
     c = check_composition(c)
     n = sum(c)
-    if n > cap:
-        raise SizeLimitError(f"descent class of weight {n} exceeds cap {cap}", cap, n)
+    check_size("descent class weight", n, cap)
     return GroupAlgebraElement._make({p: 1 for p in _descent_class_perms(c)})
 
 
@@ -253,33 +247,23 @@ def young_decompose(parts, p: Iterable[int]) -> tuple[tuple[int, ...], tuple[int
 
 
 def fixed_space_check(n: int, cap: int = 5) -> bool:
-    """Are the orbit sums an S_n-stable basis closed under composition?
+    """Are the orbit sums an S_n-stable basis of a subalgebra isomorphic to Solomon's?
 
-    Checks (i) every orbit sum is fixed by every permutation and (ii) the
-    composition product of two orbit sums expands over orbit sums with
-    integer coefficients (constant on each type class).
+    Checks (i) every orbit sum is fixed by every permutation and (ii)
+    ``truncation_check`` for every pair of compositions of n: the composition
+    product of two orbit sums is the orbit image of Solomon's rule, so it
+    expands over orbit sums, with the structure constants of the descent
+    algebra.
     """
-    if n > cap:
-        raise SizeLimitError(f"fixed-space check at weight {n} exceeds cap {cap}", cap, n)
+    check_size("fixed-space check weight", n, cap)
     if n < 1:
         raise ValueError("weight must be positive")
     comps_n = list(compositions(n))
-    orbits = {c: orbit_sum(c) for c in comps_n}
     perms = list(symmetric_group(n))
-    for c, x in orbits.items():
-        for s in perms:
-            if act(x, s) != x:
-                return False
-    for c1 in comps_n:
-        for c2 in comps_n:
-            product = composition_product(orbits[c1], orbits[c2])
-            by_type: dict[tuple[int, ...], set[int]] = {}
-            counts: dict[tuple[int, ...], int] = {}
-            for sc, coeff in product.terms.items():
-                t = type_of(sc)
-                by_type.setdefault(t, set()).add(coeff)
-                counts[t] = counts.get(t, 0) + 1
-            for t, coeffs in by_type.items():
-                if len(coeffs) != 1 or counts[t] != multinomial(t):
-                    return False
-    return True
+    if any(act(x, s) != x for x in map(orbit_sum, comps_n) for s in perms):
+        return False
+    return all(
+        truncation_check(DescentElement({c1: 1}), DescentElement({c2: 1}))
+        for c1 in comps_n
+        for c2 in comps_n
+    )

@@ -212,7 +212,7 @@ def _associative(product: Callable) -> Callable[..., str | None]:
 def suite_assoc_conv(cfg: Config) -> list[LawResult]:
     rng = random.Random(cfg.seed)
     n = cfg.n(5)
-    trials = max(cfg.trial_count(200), 1)
+    trials = cfg.trial_count(200)
 
     def draw():
         return random_element(rng, _ground(n))
@@ -235,7 +235,7 @@ def suite_assoc_conv(cfg: Config) -> list[LawResult]:
 def suite_assoc_comp(cfg: Config) -> list[LawResult]:
     rng = random.Random(cfg.seed)
     n = cfg.n(5)
-    trials = max(cfg.trial_count(200), 1)
+    trials = cfg.trial_count(200)
     unit_n = absorb_n = min(n, 4)
     unshuf_n = min(n, 5)
 

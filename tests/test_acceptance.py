@@ -7,11 +7,13 @@ warm-up call; sweeps are exhaustive at the stated sizes.
 
 import itertools
 import math
+import re
 import subprocess
 import sys
 import time
 from pathlib import Path
 
+import pytest
 from conftest import record
 
 from twisted_descents.algebra import (
@@ -175,10 +177,23 @@ def test_criterion_05_bialgebra_laws():
     assert ok
 
 
-def test_criterion_06_reciprocity_and_remarkable_identity():
-    results = run_suite("reciprocity", Config()) + run_suite("remarkable", Config())
-    ok = all(r.ok for r in results)
-    detail = "; ".join(f"{r.law} ({r.detail})" for r in results if "matched" in r.law)
+@pytest.fixture(scope="module")
+def verify_all_default():
+    """One ``verify all --seed 0`` run, shared by criteria 6 and 12: (process, seconds)."""
+    cmd = [sys.executable, "-m", "twisted_descents.cli", "verify", "all", "--seed", "0"]
+    t0 = time.perf_counter()
+    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=600)
+    return proc, time.perf_counter() - t0
+
+
+def test_criterion_06_reciprocity_and_remarkable_identity(verify_all_default):
+    # the default sweep runs both suites at Config(); read their law lines from it
+    proc, _ = verify_all_default
+    laws = re.compile(r"(\w+) \[(reciprocity|remarkable)\] ([\w-]+): (.*)")
+    results = [m.groups() for m in map(laws.fullmatch, proc.stdout.splitlines()) if m]
+    ok = {suite for _, suite, _, _ in results} == {"reciprocity", "remarkable"}
+    ok = ok and all(status == "PASS" for status, _, _, _ in results)
+    detail = "; ".join(f"{law} ({text})" for _, _, law, text in results if "matched" in law)
     record(6, ok, f"exhaustive sweeps pass: {detail}")
     assert ok
 
@@ -289,11 +304,8 @@ def test_criterion_11_dimension_table():
     assert ok
 
 
-def test_criterion_12_verify_all_runtime_and_determinism():
-    cmd = [sys.executable, "-m", "twisted_descents.cli", "verify", "all", "--seed", "0"]
-    t0 = time.perf_counter()
-    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=600)
-    elapsed = time.perf_counter() - t0
+def test_criterion_12_verify_all_runtime_and_determinism(verify_all_default):
+    proc, elapsed = verify_all_default
     ok = proc.returncode == 0 and elapsed < 300
     ok = ok and proc.stdout.splitlines()[-1].endswith("laws hold")
     golden = Path(__file__).parent / "golden" / "verify_all_default.txt"

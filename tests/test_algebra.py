@@ -137,6 +137,7 @@ def test_product_size_guard(product):
     with pytest.raises(SizeLimitError) as err:
         product(x, y, max_terms=5)
     assert (err.value.cap, err.value.requested) == (5, 6)
+    assert str(err.value).endswith(" term pairs: 6 requested, cap 5")
     assert product(x, y, max_terms=6) == product(x, y)
 
 

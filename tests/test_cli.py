@@ -132,7 +132,7 @@ PRODUCT_ARGS = ["[{1}] + [{2}] + [{3}]", "[{1}] + [{4}]"]  # 6 term pairs
 def test_product_cap_exit_code(capsys, command):
     code, _, err = run(capsys, command, *PRODUCT_ARGS, "--max-terms", "5")
     assert code == EXIT_CAP
-    assert "size limit" in err and "would pair 6 terms (cap 5)" in err
+    assert "size limit" in err and "term pairs: 6 requested, cap 5" in err
     code, _, _ = run(capsys, command, *PRODUCT_ARGS, "--max-terms", "6")
     assert code == EXIT_OK
 

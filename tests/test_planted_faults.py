@@ -175,10 +175,9 @@ def test_unshuffling_reports_a_zero_composition(monkeypatch):
     assert result.detail == "sc=1*[{1,2,3}], sigma=(1, 2, 3), got 0"
 
 
-def test_solomon_sweep_catches_a_broken_mask_composition(monkeypatch):
-    # orbit sums of weight 4 have up to 24 terms, so their ∘ runs on block
-    # masks; here every product made there loses its last cut, that is, its
-    # last two blocks merge
+def _merge_last_cut_on_masks(monkeypatch):
+    # every product made on the mask path of ∘ loses its last cut, that is,
+    # its last two blocks merge; the fault commutes with the S_n action
     real = algebra._MaskGroup.multiply
 
     def multiply(self, a, ca, acc):
@@ -190,9 +189,25 @@ def test_solomon_sweep_catches_a_broken_mask_composition(monkeypatch):
                 self.index.set(key[-1])
             acc[key] = acc.get(key, 0) + c
 
+    monkeypatch.setattr(algebra._MaskGroup, "multiply", multiply)
+
+
+def test_solomon_sweep_catches_a_broken_mask_composition(monkeypatch):
+    # orbit sums of weight 4 have up to 24 terms, so their ∘ runs on block masks
     cfg = verify.Config(max_n=4, seed=0)
     assert all(r.ok for r in verify.run_suite("solomon", cfg))
-    monkeypatch.setattr(algebra._MaskGroup, "multiply", multiply)
+    _merge_last_cut_on_masks(monkeypatch)
     result = next(r for r in verify.run_suite("solomon", cfg) if r.law == "truncation")
     assert not result.ok
     assert result.detail == "(1, 1, 1, 1) o (1, 1, 1, 1)"
+
+
+def test_fixed_space_catches_an_equivariant_mask_composition_fault(monkeypatch):
+    # merged orbit-sum products stay closed and S_n-invariant; only their
+    # comparison with Solomon's rule shows the fault
+    cfg = verify.Config(max_n=4)
+    assert all(r.ok for r in verify.run_suite("fixed-space", cfg))
+    _merge_last_cut_on_masks(monkeypatch)
+    [result] = verify.run_suite("fixed-space", cfg)
+    assert not result.ok
+    assert result.detail == "n=4"

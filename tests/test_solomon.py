@@ -54,6 +54,15 @@ def test_group_algebra_validation():
     assert GroupAlgebraElement({}).degree is None
 
 
+def test_reprs_share_the_signed_term_renderer():
+    assert repr(DescentElement({(1, 1): 1, (2,): -2})) == "<DescentElement 1*(1,1) - 2*(2)>"
+    assert repr(DescentElement({(2,): -1})) == "<DescentElement -1*(2)>"
+    assert repr(DescentElement({})) == "<DescentElement 0>"
+    x = GroupAlgebraElement({(2, 1): -1, (1, 2): 3})
+    assert repr(x) == "<GroupAlgebraElement 3*(1,2) - 1*(2,1)>"
+    assert repr(GroupAlgebraElement({})) == "<GroupAlgebraElement 0>"
+
+
 def test_solomon_product_worked_examples():
     assert solomon_compose(one((1, 1)), one((1, 1))) == DescentElement({(1, 1): 2})
     assert solomon_compose(one((2,)), one((1, 1))) == one((1, 1))

@@ -1,6 +1,6 @@
 """The sweep engine behind every ``verify`` law."""
 
-from twisted_descents.verify import _single, _sweep, _trial
+from twisted_descents.verify import Config, _single, _sweep, _trial, run_suite
 
 
 def _counting(pulled, n):
@@ -40,3 +40,13 @@ def test_single_and_trial_helpers():
     check = _trial(lambda x: None if x else "x=0")
     assert check("trial 4", 1) is None
     assert check("trial 4", 0) == "trial 4: x=0"
+
+
+def test_zero_trials_leave_the_random_associativity_laws_vacuous():
+    cfg = Config(max_n=0, max_support=0, trials=0)
+    results = run_suite("assoc-conv", cfg) + run_suite("assoc-comp", cfg)
+    assert [r.line() for r in results if r.law in ("associativity", "unit")] == [
+        "VACUOUS [assoc-conv] associativity: no case checked (0 random triples, support <= 0)",
+        "VACUOUS [assoc-conv] unit: no case checked ([] is a two-sided unit (0 trials))",
+        "VACUOUS [assoc-comp] associativity: no case checked (0 random triples, support <= 0)",
+    ]
