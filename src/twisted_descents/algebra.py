@@ -16,11 +16,12 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping
 
 from .limits import MAX_TERMS, check_size
 from .permutations import check_permutation, inverse
-from .setcomp import EMPTY, SetComposition, check_ground_set
+from .setcomp import EMPTY, SetComposition, canonical_key, check_ground_set
 
 
 def conv_basis(a: SetComposition, b: SetComposition) -> SetComposition | None:
@@ -47,7 +48,25 @@ def compose_basis(a: SetComposition, b: SetComposition) -> SetComposition | None
 
 
 def _clean(terms: dict) -> dict:
-    return {k: c for k, c in terms.items() if c}
+    """Drop the zero entries of a dict the caller owns, in place; returns it.
+
+    Only the dropped keys are hashed again: rebuilding the dict would hash
+    every surviving key through ``SetComposition.__hash__``.
+    """
+    for key in [k for k, c in terms.items() if not c]:
+        del terms[key]
+    return terms
+
+
+class _Ascending(dict):
+    """Block frozenset -> its labels as an ascending tuple, sorted on first lookup.
+
+    The terms of a product share most of their block objects.
+    """
+
+    def __missing__(self, block: frozenset[int]) -> tuple[int, ...]:
+        values = self[block] = tuple(sorted(block))
+        return values
 
 
 class _Linear:
@@ -129,10 +148,18 @@ class TDElement(_Linear):
             raise ValueError(f"term key {key!r} is not a SetComposition")
         return key
 
+    def _rows(self) -> list:
+        """``(sort key, composition, ascending blocks, coefficient)`` per term, sorted."""
+        ascending = _Ascending().__getitem__
+        rows = []
+        for sc, c in self.terms.items():
+            blocks = tuple(map(ascending, sc.sets))
+            rows.append((canonical_key(len(sc.support), blocks), sc, blocks, c))
+        rows.sort(key=itemgetter(0))
+        return rows
+
     def __iter__(self) -> Iterator[tuple[SetComposition, int]]:
-        SetComposition._fill_blocks(self.terms)
-        for sc in sorted(self.terms, key=lambda s: s.sort_key):
-            yield sc, self.terms[sc]
+        return ((sc, c) for _, sc, _, c in self._rows())
 
     def __mul__(self, other):
         if isinstance(other, TDElement):
@@ -164,10 +191,20 @@ class TensorElement(_Linear):
         TDElement._check_key(right)
         return key
 
+    def _rows(self) -> list:
+        """``(sort key, pair, (left blocks, right blocks), coefficient)`` per term, sorted."""
+        ascending = _Ascending().__getitem__
+        rows = []
+        for pair, c in self.terms.items():
+            l, r = pair
+            lb, rb = tuple(map(ascending, l.sets)), tuple(map(ascending, r.sets))
+            key = (canonical_key(len(l.support), lb), canonical_key(len(r.support), rb))
+            rows.append((key, pair, (lb, rb), c))
+        rows.sort(key=itemgetter(0))
+        return rows
+
     def __iter__(self) -> Iterator[tuple[tuple[SetComposition, SetComposition], int]]:
-        SetComposition._fill_blocks(itertools.chain.from_iterable(self.terms))
-        for pair in sorted(self.terms, key=lambda p: (p[0].sort_key, p[1].sort_key)):
-            yield pair, self.terms[pair]
+        return ((pair, c) for _, pair, _, c in self._rows())
 
     def swap(self) -> "TensorElement":
         """Exchange the tensor legs."""
@@ -221,9 +258,10 @@ def convolution(x: TDElement, y: TDElement, max_terms: int = MAX_TERMS) -> TDEle
     check_size("convolution term pairs", len(x.terms) * len(y.terms), max_terms)
     acc: dict = {}
     for a, ca in x.terms.items():
+        support = a.support
         for b, cb in y.terms.items():
-            key = conv_basis(a, b)
-            if key is not None:
+            if support.isdisjoint(b.support):  # skips the call for pairs conv_basis drops
+                key = conv_basis(a, b)
                 acc[key] = acc.get(key, 0) + ca * cb
     return TDElement._make(_clean(acc))
 

@@ -30,16 +30,27 @@ def check_ground_set(elements: Iterable[int]) -> frozenset[int]:
     return s
 
 
+def canonical_key(size: int, blocks: tuple[tuple[int, ...], ...]) -> tuple:
+    """The sort key of a set composition with ``size`` labels and ascending ``blocks``.
+
+    It orders by support size, then the flattened block sequence, then the
+    block-boundary positions.  The three parts are laid out in one flat tuple:
+    keys of equal size have flattened sequences of equal length, so they line
+    up, and a flat tuple compares faster than a nested one.
+    """
+    return (size, *itertools.chain.from_iterable(blocks),
+            *itertools.accumulate(map(len, blocks[:-1])))
+
+
 class SetComposition:
     """An ordered sequence of pairwise-disjoint nonempty sets of positive integers.
 
     Instances are immutable and hashable.  ``sets`` holds the blocks as
-    frozensets, ``support`` their (disjoint) union.  The total order used for
-    deterministic term ordering compares support size, then the flattened
-    block sequence, then the block-boundary positions.
+    frozensets, ``support`` their (disjoint) union.  Terms are put in the
+    order of ``canonical_key``.
     """
 
-    __slots__ = ("sets", "support", "_hash", "_blocks", "_key")
+    __slots__ = ("sets", "support", "_hash")
 
     def __init__(self, blocks: Iterable[Iterable[int]]):
         sets = []
@@ -55,8 +66,6 @@ class SetComposition:
         self.sets = tuple(sets)
         self.support = seen
         self._hash = hash(self.sets)
-        self._blocks = None
-        self._key = None
 
     @classmethod
     def _make(cls, sets: tuple[frozenset[int], ...], support: frozenset[int]) -> "SetComposition":
@@ -65,36 +74,16 @@ class SetComposition:
         self.sets = sets
         self.support = support
         self._hash = hash(sets)
-        self._blocks = None
-        self._key = None
         return self
-
-    @staticmethod
-    def _fill_blocks(comps: Iterable["SetComposition"]) -> None:
-        # Products reuse their operands' block frozensets, so the terms of one
-        # element share most blocks: sort each distinct block once.
-        memo: dict = {}
-        for sc in comps:
-            if sc._blocks is None:
-                sc._blocks = tuple(
-                    [memo[b] if b in memo else memo.setdefault(b, tuple(sorted(b))) for b in sc.sets]
-                )
 
     @property
     def blocks(self) -> tuple[tuple[int, ...], ...]:
         """The blocks as ascending tuples, in composition order."""
-        if self._blocks is None:
-            SetComposition._fill_blocks((self,))
-        return self._blocks
+        return tuple([tuple(sorted(b)) for b in self.sets])
 
     @property
     def sort_key(self) -> tuple:
-        if self._key is None:
-            blocks = self.blocks
-            flat = tuple(itertools.chain.from_iterable(blocks))
-            bounds = tuple(itertools.accumulate(map(len, blocks[:-1])))
-            self._key = (len(self.support), flat, bounds)
-        return self._key
+        return canonical_key(len(self.support), self.blocks)
 
     def __len__(self) -> int:
         return len(self.sets)

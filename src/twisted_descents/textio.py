@@ -2,20 +2,23 @@
 
 The element grammar::
 
-    element   = '0' | [sign] term ((' ')* sign (' ')* term)*
-    term      = [coeff '*'] '[' blocklist ']'
+    element   = ws '0' ws | ws [sign ws] term ws (sign ws term ws)*
+    term      = [coeff ws '*' ws] '[' blocklist ']'
     blocklist = block ('|' block)* | ''
     block     = '{' int (',' int)* '}'
+    sign      = '+' | '-'
     coeff     = digit+
     int       = ['-'] digit+
     digit     = '0' | '1' | ... | '9'
+    ws        = (any character c with c.isspace())*
 
 Digits are ASCII only; any other Unicode digit is a ParseError.  The comma
 lists of ``parse_ints`` take the same ``int`` rule for each piece.
 
-Blocks must list their elements in strictly increasing order and be pairwise
-disjoint within one bracket.  Renderings are canonical: terms in the standard
-set-composition order, every coefficient explicit (``1*[{2}]``).
+Blocks must list their elements in strictly increasing order, from 1 to
+``MAX_LABEL``, and be pairwise disjoint within one bracket.  Renderings are
+canonical: terms in the standard set-composition order, every coefficient
+explicit (``1*[{2}]``).
 """
 
 from __future__ import annotations
@@ -23,7 +26,8 @@ from __future__ import annotations
 import re
 from typing import Iterable
 
-from .algebra import TDElement, TensorElement
+from .algebra import TDElement, TensorElement, _clean
+from .limits import MAX_LABEL
 from .setcomp import SetComposition
 
 
@@ -114,8 +118,8 @@ def _parse_term(sc: _Scanner) -> tuple[int, SetComposition]:
     return coeff, _parse_bracket(sc)
 
 
-def parse(text: str) -> TDElement:
-    """Parse element text; raises ParseError with a position on bad input."""
+def _scan(text: str) -> TDElement:
+    """Parse element text character by character; the source of every ParseError."""
     sc = _Scanner(text)
     sc.skip_ws()
     if sc.peek() == "0":
@@ -127,7 +131,8 @@ def parse(text: str) -> TDElement:
         sc.pos = mark
     terms: list[tuple[SetComposition, int]] = []
     sign = -1 if sc.take("-") else 1
-    sc.take("+")
+    if sign == 1:
+        sc.take("+")  # one sign at most: "-+[{1}]" fails at the '+'
     sc.skip_ws()
     while True:
         coeff, key = _parse_term(sc)
@@ -145,6 +150,66 @@ def parse(text: str) -> TDElement:
     return TDElement(terms)
 
 
+# One term of well-formed text: sign, coefficient, bracket, and the space
+# around them.  ``\s`` matches exactly the characters ``str.isspace`` accepts.
+_BLOCK = r"\{[0-9]+(?:,[0-9]+)*\}"
+_TERM = re.compile(
+    rf"\s*([-+]?)\s*(?:([0-9]+)\s*\*\s*)?\[((?:{_BLOCK}(?:\|{_BLOCK})*)?)\]\s*"
+)
+
+
+def _read(text: str) -> TDElement | None:
+    """Parse well-formed text one regex match per term; None on anything else.
+
+    Applies the rules the scanner enforces (labels in 1..MAX_LABEL, each
+    block strictly increasing, blocks pairwise disjoint) and leaves every
+    error, and the ``0`` element, to ``_scan``.
+    """
+    make = SetComposition._make
+    acc: dict = {}
+    blocks: dict = {}  # block text -> its frozenset
+    pos, end = 0, len(text)
+    try:
+        while pos < end:
+            m = _TERM.match(text, pos)
+            if m is None:
+                return None
+            sign, coeff, body = m.groups()
+            if not sign and pos:
+                return None
+            pos = m.end()
+            sets = []
+            count = 0
+            for piece in body[1:-1].split("}|{") if body else ():
+                block = blocks.get(piece)
+                if block is None:
+                    values = [*map(int, piece.split(","))]
+                    if values[0] < 1 or values[-1] > MAX_LABEL:
+                        return None
+                    block = blocks[piece] = frozenset(values)
+                    if len(values) > 1 and sorted(block) != values:
+                        return None
+                count += len(block)
+                sets.append(block)
+            support = frozenset().union(*sets)
+            if len(support) != count:
+                return None
+            key = make(tuple(sets), support)
+            c = int(coeff) if coeff else 1
+            acc[key] = acc.get(key, 0) + (-c if sign == "-" else c)
+    except ValueError:  # int() refuses more than sys.get_int_max_str_digits() digits
+        return None
+    if not acc:
+        return None
+    return TDElement._make(_clean(acc))
+
+
+def parse(text: str) -> TDElement:
+    """Parse element text; raises ParseError with a position on bad input."""
+    x = _read(text)
+    return _scan(text) if x is None else x
+
+
 def _join_terms(parts: list[tuple[int, str]]) -> str:
     if not parts:
         return "0"
@@ -158,21 +223,23 @@ def _join_terms(parts: list[tuple[int, str]]) -> str:
     return " ".join(out)
 
 
-def _bracket_renderer():
-    """A ``[{..}|{..}]`` renderer that builds the text of each distinct block once.
+class _BlockTexts(dict):
+    """Block frozenset -> its ``{a,b,...}`` text, built on first lookup.
 
     The terms of one product share most of their block objects.
     """
-    texts: dict = {}
+
+    def __missing__(self, block: frozenset[int]) -> str:
+        text = self[block] = "{" + ",".join(map(str, sorted(block))) + "}"
+        return text
+
+
+def _bracket_renderer():
+    """A ``[{..}|{..}]`` renderer that builds the text of each distinct block once."""
+    text = _BlockTexts().__getitem__
 
     def bracket(sc: SetComposition) -> str:
-        parts = []
-        for block, values in zip(sc.sets, sc.blocks):
-            text = texts.get(block)
-            if text is None:
-                text = texts[block] = "{" + ",".join(map(str, values)) + "}"
-            parts.append(text)
-        return "[" + "|".join(parts) + "]"
+        return "[" + "|".join(map(text, sc.sets)) + "]"
 
     return bracket
 
@@ -180,17 +247,18 @@ def _bracket_renderer():
 def render(x: TDElement) -> str:
     """Canonical text for an element; the zero element renders as ``0``."""
     bracket = _bracket_renderer()
-    return _join_terms([(c, bracket(sc)) for sc, c in x])
+    return _join_terms([(c, bracket(sc)) for _, sc, _, c in x._rows()])
 
 
 def render_tensor(x: TensorElement, ascii_only: bool = False) -> str:
     sep = "(x)" if ascii_only else "⊗"
     bracket = _bracket_renderer()
-    return _join_terms([(c, bracket(l) + sep + bracket(r)) for (l, r), c in x])
+    return _join_terms([(c, bracket(l) + sep + bracket(r)) for _, (l, r), _, c in x._rows()])
 
 
 def element_to_json(x: TDElement) -> dict:
-    return {"terms": [{"coeff": c, "blocks": [list(b) for b in sc.blocks]} for sc, c in x]}
+    return {"terms": [{"coeff": c, "blocks": list(map(list, blocks))}
+                      for _, _, blocks, c in x._rows()]}
 
 
 def _json_terms(obj, key):
@@ -211,12 +279,8 @@ def element_from_json(obj) -> TDElement:
 def tensor_to_json(x: TensorElement) -> dict:
     return {
         "terms": [
-            {
-                "coeff": c,
-                "left": [list(b) for b in l.blocks],
-                "right": [list(b) for b in r.blocks],
-            }
-            for (l, r), c in x
+            {"coeff": c, "left": list(map(list, lb)), "right": list(map(list, rb))}
+            for _, _, (lb, rb), c in x._rows()
         ]
     }
 

@@ -1,9 +1,16 @@
+import random
+import re
+import sys
+
 import pytest
 
 from twisted_descents.algebra import UNIT, ZERO, basis, coproduct, tensor
+from twisted_descents.limits import MAX_LABEL
 from twisted_descents.setcomp import SetComposition, enumerate_set_compositions
 from twisted_descents.textio import (
     ParseError,
+    _read,
+    _scan,
     element_from_json,
     element_to_json,
     parse,
@@ -51,6 +58,10 @@ def test_parse_accepts_whitespace_and_signs():
     assert parse("[{1}] - [{1}]") == ZERO
     assert parse("0") == ZERO
     assert parse(" 0 ") == ZERO
+    # whitespace is any str.isspace() character, at both ends, around signs and '*'
+    assert parse("[{1}]\t+\n[{2}]") == parse("[{1}] + [{2}]")
+    assert parse("\u3000[{1}] +\u3000[{2}]\x85") == parse("[{1}] + [{2}]")
+    assert parse("2\x1c*\n[{1}]") == parse("2*[{1}]")
 
 
 def test_parse_coefficients():
@@ -70,6 +81,9 @@ def test_parse_errors_carry_positions():
     with pytest.raises(ParseError) as err:
         parse("[{0}]")
     assert err.value.position == 3
+    with pytest.raises(ParseError, match=r"expected '\[', found '\+'") as err:
+        parse("-+[{1}]")  # one sign at most
+    assert err.value.position == 1
     with pytest.raises(ParseError):
         parse("[{2,1}]")  # blocks must be written increasing
     with pytest.raises(ParseError):
@@ -156,3 +170,61 @@ def test_small_parsers():
 def test_render_blocks():
     assert render(basis(SetComposition(({3, 5}, {1, 4})))) == "1*[{3,5}|{1,4}]"
     assert render(basis(SetComposition(()))) == "1*[]"
+
+
+def test_regex_space_is_str_isspace():
+    # the term reader's \s must accept exactly what the scanner's isspace() skips
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert re.findall(r"\s", every) == [c for c in every if c.isspace()]
+
+
+def _outcome(read, text):
+    try:
+        x = read(text)
+    except Exception as exc:  # compared by type, message and position
+        return type(exc), str(exc), getattr(exc, "position", None)
+    return render(x), {sc: sc.support for sc in x.terms}
+
+
+_SEEDS = [
+    "0", " 0 ", "-0", "00", "[]", "1*[]", "-[] + []", "[{1}]", "+2*[{1}]",
+    "2*[{3,5}|{1,4}] - [{2}]", "[{1}] - [{1}]",
+    f"[{{{MAX_LABEL}}}]", f"[{{{MAX_LABEL + 1}}}]", f"3*[{{1,{MAX_LABEL}}}|{{2}}]",
+    "[{4000000000,4000000001}|{17}] + 12*[{99999}] - [{17,99999}|{4000000000}]",
+    "[{01,002}] + 007*[{3}] - 0*[{4}]",
+    "[{1,2}|{2,3}]", "[{1}|{1}]", "[{1,1}]", "[{3,2}]", "[{2}|{1}] - [{5,4}]",
+    "[{0}]", "[{-1}]", "[{1},{2}]", "[{1}|]", "[{}]",
+]
+_MUTANTS = "{}[]|,*+-019" + " \t\n\x1c\x85\u3000"
+
+
+def _mutate(rng, text):
+    chars = list(text)
+    for _ in range(rng.choice((1, 1, 1, 2, 3))):
+        i = rng.randint(0, len(chars))
+        op = rng.randrange(3)
+        if op == 0 or not chars:
+            chars.insert(i, rng.choice(_MUTANTS))
+        elif op == 1:
+            del chars[min(i, len(chars) - 1)]
+        else:
+            chars[min(i, len(chars) - 1)] = rng.choice(_MUTANTS)
+    return "".join(chars)
+
+
+def test_term_reader_agrees_with_the_scanner():
+    """parse (reader first, scanner on None) and the scanner alone agree on
+    the element, or on the exception type, message and position."""
+    rng = random.Random(9)
+    read = errors = 0
+    for k in range(24_000):
+        text = _mutate(rng, _SEEDS[k % len(_SEEDS)])
+        assert _outcome(parse, text) == _outcome(_scan, text), text
+        if isinstance(_outcome(parse, text)[0], str):
+            read += _read(text) is not None
+        else:
+            errors += 1
+    assert read > 1_000 and errors > 10_000  # both outcomes are exercised
+    for text in ("[{" + "1" * 5000 + "}]", "1" * 5000 + "*[{1}]"):
+        assert _read(text) is None
+        assert _outcome(parse, text) == _outcome(_scan, text)
