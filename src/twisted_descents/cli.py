@@ -41,7 +41,6 @@ from .textio import (
     render_tensor,
     tensor_to_json,
 )
-from .verify import Config, SUITES, run_suite
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -141,6 +140,10 @@ def cmd_young(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # Imported here: no arithmetic command runs the verifier, and loading it
+    # (with dataclasses and inspect) is most of the CLI's import time.
+    from .verify import Config, SUITES, run_suite
+
     if args.suite != "all" and args.suite not in SUITES:
         names = ", ".join(list(SUITES) + ["all"])
         print(f"unknown suite {args.suite!r}; available: {names}", file=sys.stderr)

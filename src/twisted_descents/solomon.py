@@ -11,11 +11,12 @@ three pictures and the Young/shuffle factorization of permutations.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .algebra import (
     TDElement,
     _Linear,
+    _clean,
     act,
     chamber_word,
     compose_basis,
@@ -189,16 +190,26 @@ def orbit_sum(c: Iterable[int], max_terms: int = MAX_TERMS) -> TDElement:
 
 def descent_to_orbit(a: DescentElement) -> TDElement:
     """The truncation embedding: each composition goes to its orbit sum."""
-    out = TDElement({})
+    return _to_orbit(a, orbit_sum)
+
+
+def _to_orbit(a: DescentElement, orbit_of: Callable) -> TDElement:
+    """``descent_to_orbit`` with ``orbit_of(c)`` as the orbit sum of ``c``."""
+    acc: dict[SetComposition, int] = {}
     for c, coeff in a.terms.items():
-        out = out + coeff * orbit_sum(c)
-    return out
+        for sc, x in orbit_of(c).terms.items():
+            acc[sc] = acc.get(sc, 0) + coeff * x
+    return TDElement._make(_clean(acc))
 
 
 def truncation_check(a: DescentElement, b: DescentElement) -> bool:
     """Does Solomon's rule agree with composing the orbit-sum images?"""
-    lhs = descent_to_orbit(solomon_compose(a, b))
-    return lhs == composition_product(descent_to_orbit(a), descent_to_orbit(b))
+    return _truncation_holds(a, b, orbit_sum)
+
+
+def _truncation_holds(a: DescentElement, b: DescentElement, orbit_of: Callable) -> bool:
+    lhs = _to_orbit(solomon_compose(a, b), orbit_of)
+    return lhs == composition_product(_to_orbit(a, orbit_of), _to_orbit(b, orbit_of))
 
 
 def descent_class(c: Iterable[int], cap: int = DESCENT_CLASS_CAP) -> GroupAlgebraElement:
@@ -258,12 +269,14 @@ def fixed_space_check(n: int, cap: int = 5) -> bool:
     check_size("fixed-space check weight", n, cap)
     if n < 1:
         raise ValueError("weight must be positive")
-    comps_n = list(compositions(n))
+    # Every orbit sum is built once; Solomon's rule keeps the weight, so the
+    # table covers every composition the truncation pairs reach.
+    orbits = {c: orbit_sum(c) for c in compositions(n)}
     perms = list(symmetric_group(n))
-    if any(act(x, s) != x for x in map(orbit_sum, comps_n) for s in perms):
+    if any(act(x, s) != x for x in orbits.values() for s in perms):
         return False
     return all(
-        truncation_check(DescentElement({c1: 1}), DescentElement({c2: 1}))
-        for c1 in comps_n
-        for c2 in comps_n
+        _truncation_holds(DescentElement({c1: 1}), DescentElement({c2: 1}), orbits.__getitem__)
+        for c1 in orbits
+        for c2 in orbits
     )

@@ -12,8 +12,10 @@ The element grammar::
     digit     = '0' | '1' | ... | '9'
     ws        = (any character c with c.isspace())*
 
-Digits are ASCII only; any other Unicode digit is a ParseError.  The comma
-lists of ``parse_ints`` take the same ``int`` rule for each piece.
+Digits are ASCII only; any other Unicode digit is a ParseError.  A label or
+coefficient may be written with at most 4,300 digits, leading zeros
+included; a longer one is a ParseError at its first digit.  The comma lists
+of ``parse_ints`` take the same ``int`` rule for each piece.
 
 Blocks must list their elements in strictly increasing order, from 1 to
 ``MAX_LABEL``, and be pairwise disjoint within one bracket.  Renderings are
@@ -41,6 +43,10 @@ class ParseError(ValueError):
 
 _DIGITS = re.compile(r"[0-9]+")
 _INT = re.compile(r"-?[0-9]+")
+
+# CPython's default cap on int() of a digit string, fixed here so that every
+# Python, including those without the cap, reads the same text the same way.
+_MAX_DIGITS = 4300
 
 
 class _Scanner:
@@ -73,6 +79,8 @@ class _Scanner:
         digits = _DIGITS.match(self.text, self.pos)
         if digits is None:
             raise ParseError("expected an integer", self.pos)
+        if digits.end() - self.pos > _MAX_DIGITS:
+            raise ParseError(f"integer of more than {_MAX_DIGITS} digits", self.pos)
         self.pos = digits.end()
         return int(self.text[start : self.pos])
 
@@ -154,7 +162,7 @@ def _scan(text: str) -> TDElement:
 # around them.  ``\s`` matches exactly the characters ``str.isspace`` accepts.
 _BLOCK = r"\{[0-9]+(?:,[0-9]+)*\}"
 _TERM = re.compile(
-    rf"\s*([-+]?)\s*(?:([0-9]+)\s*\*\s*)?\[((?:{_BLOCK}(?:\|{_BLOCK})*)?)\]\s*"
+    rf"\s*([-+]?)\s*(?:([0-9]{{1,{_MAX_DIGITS}}})\s*\*\s*)?\[((?:{_BLOCK}(?:\|{_BLOCK})*)?)\]\s*"
 )
 
 
@@ -197,7 +205,7 @@ def _read(text: str) -> TDElement | None:
             key = make(tuple(sets), support)
             c = int(coeff) if coeff else 1
             acc[key] = acc.get(key, 0) + (-c if sign == "-" else c)
-    except ValueError:  # int() refuses more than sys.get_int_max_str_digits() digits
+    except ValueError:  # a label of more than _MAX_DIGITS digits, where int() caps
         return None
     if not acc:
         return None

@@ -31,6 +31,7 @@ from .algebra import (
     TDElement,
     TensorElement,
     UNIT,
+    ZERO,
     act,
     basis,
     chamber,
@@ -141,7 +142,7 @@ def _show(**named: SetComposition) -> str:
 
 
 def _unless_zero(x: TDElement) -> str | None:
-    return None if x == TDElement({}) else f"got {render(x)}"
+    return None if x == ZERO else f"got {render(x)}"
 
 
 def _ground(m: int) -> tuple[int, ...]:
@@ -396,7 +397,7 @@ def _matched_reciprocity(f, g, fg, h, piece) -> str | None:
 def _reciprocity(f, g, h, dh) -> str | None:
     """The same law through the public elements, for any supports."""
     fg = conv_basis(f, g)
-    lhs = composition_product(basis(fg), basis(h)) if fg is not None else TDElement({})
+    lhs = composition_product(basis(fg), basis(h)) if fg is not None else ZERO
     if lhs != multiply_tensor_legs(tensor_composition(tensor(basis(f), basis(g)), dh)):
         return _show(f=f, g=g, h=h)
 

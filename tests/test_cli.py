@@ -97,6 +97,13 @@ def test_parse_error_exit_code(capsys):
     assert "parse error" in err
 
 
+def test_oversized_integers_are_parse_errors(capsys):
+    for argv in (["[{" + "1" * 5000 + "}]", "[{1}]"], ["1" * 5000 + "*[{1}]", "[{2}]"]):
+        code, out, err = run(capsys, "conv", *argv)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("parse error: integer of more than 4300 digits")
+
+
 def test_usage_error_exit_code(capsys):
     code, _, _ = run(capsys, "frobnicate")
     assert code == EXIT_USAGE
@@ -289,6 +296,30 @@ def test_verify_unknown_suite(capsys):
     code, _, err = run(capsys, "verify", "nope")
     assert code == EXIT_USAGE
     assert "unknown suite" in err
+
+
+def test_cli_import_leaves_the_verifier_unloaded():
+    # only the verify command loads it, and its output is the same
+    script = (
+        "import sys\n"
+        "import twisted_descents.cli as cli\n"
+        "print('twisted_descents.verify' in sys.modules)\n"
+        "print(cli.main(['verify', 'dims']))\n"
+        "print(cli.main(['verify', 'nosuch']))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.stdout.splitlines() == [
+        "False",
+        "PASS [dims] fubini: 1 1 3 13 75 541",
+        "1/1 laws hold",
+        str(EXIT_OK),
+        str(EXIT_USAGE),
+    ]
+    assert proc.stderr == (
+        "unknown suite 'nosuch'; available: assoc-conv, assoc-comp, bialgebra, "
+        "reciprocity, remarkable, oracle, solomon, equivariance, shuffles, "
+        "fixed-space, dims, all\n"
+    )
 
 
 def test_verify_respects_caps(capsys, monkeypatch):

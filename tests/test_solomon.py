@@ -3,7 +3,8 @@ import math
 
 import pytest
 
-from twisted_descents.algebra import basis, composition_product
+from twisted_descents import solomon
+from twisted_descents.algebra import TDElement, basis, composition_product
 from twisted_descents.limits import SizeLimitError
 from twisted_descents.permutations import (
     compose,
@@ -227,6 +228,38 @@ def test_stabilizer_is_young_subgroup():
     young = set(young_subgroup(parts))
     for s in symmetric_group(3):
         assert (act(x, s) == x) == (s in young)
+
+
+def test_fixed_space_check_builds_each_orbit_sum_once(monkeypatch):
+    calls = []
+
+    def counting(c, *args, **kwargs):
+        calls.append(tuple(c))
+        return orbit_sum(c, *args, **kwargs)
+
+    monkeypatch.setattr(solomon, "orbit_sum", counting)
+    assert fixed_space_check(4)
+    assert sorted(calls) == sorted(compositions(4))  # 8 calls
+
+
+def _fold_to_orbit(a):
+    """The termwise fold ``descent_to_orbit`` replaced, kept as a reference."""
+    out = TDElement({})
+    for c, coeff in a.terms.items():
+        out = out + coeff * orbit_sum(c)
+    return out
+
+
+def test_descent_to_orbit_matches_the_termwise_fold():
+    for n in range(6):
+        comps = list(compositions(n))
+        elements = [DescentElement({c: (-1) ** i * (i + 2) for i, c in enumerate(comps)})]
+        elements += [one(c) - one(c) for c in comps]  # cancels to zero
+        elements += [DescentElement({c1: 2, c2: -3}) for c1 in comps for c2 in comps if c1 != c2]
+        for a in elements:
+            got = descent_to_orbit(a)
+            assert got == _fold_to_orbit(a), a
+            assert bool(got) == bool(a)
 
 
 def test_fixed_space_check():

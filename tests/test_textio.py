@@ -92,6 +92,33 @@ def test_parse_errors_carry_positions():
         parse("")
     with pytest.raises(ParseError):
         parse("[{1}")
+    # more than 4,300 digits is an error at the first digit, whatever the value
+    for text, position in [
+        ("[{" + "1" * 5000 + "}]", 2),
+        ("1" * 5000 + "*[{1}]", 0),
+        ("[{" + "0" * 4999 + "1}]", 2),
+    ]:
+        with pytest.raises(ParseError, match="integer of more than 4300 digits") as err:
+            parse(text)
+        assert err.value.position == position
+
+
+def test_digit_cap_does_not_depend_on_the_int_limit():
+    # Pythons without int()'s digit limit read the same text the same way
+    set_limit = getattr(sys, "set_int_max_str_digits", None)
+    if set_limit is None:
+        pytest.skip("this Python has no int() digit limit")
+    old = sys.get_int_max_str_digits()
+    set_limit(0)
+    try:
+        with pytest.raises(ParseError) as err:
+            parse("[{1}] + " + "7" * 4301 + "*[{2}]")
+        assert err.value.position == 8
+        assert parse("0" * 4299 + "3*[{1}]") == 3 * basis([[1]])
+        with pytest.raises(ParseError, match=r"out of range 1\.\.4294967295"):
+            parse("[{" + "1" * 4300 + "}]")
+    finally:
+        set_limit(old)
 
 
 @pytest.mark.parametrize(
