@@ -521,9 +521,3 @@ def act(x: TDElement, p: Iterable[int]) -> TDElement:
         key = SetComposition._make(sets, support)
         acc[key] = acc.get(key, 0) + coeff
     return TDElement._make(_clean(acc))
-
-
-def graded_component(x: TDElement, s: Iterable[int]) -> TDElement:
-    """The sub-sum of terms whose support equals s."""
-    s = check_ground_set(s)
-    return TDElement._make({sc: c for sc, c in x.terms.items() if sc.support == s})

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .algebra import TDElement
 from .limits import ORACLE_SUPPORT_CAP, check_size
@@ -174,12 +174,15 @@ def represent(sc: SetComposition, universe: Iterable[int]) -> Endomorphism:
     return endo
 
 
-def endo_of(x: TDElement, universe: Iterable[int]) -> Endomorphism:
-    """Linear combination of represented basis elements."""
+def endo_of(
+    x: TDElement, universe: Iterable[int], *, represent_of: Callable | None = None
+) -> Endomorphism:
+    """Linear combination of represented basis elements; ``represent_of``, if
+    given, stands in for ``represent``, for example to read a memo of it."""
     ground = check_ground_set(universe)
     table: dict = {w: {} for w in all_words(ground, cap=len(ground))}
     for sc, coeff in x.terms.items():
-        part = represent(sc, ground)
+        part = (represent_of or represent)(sc, ground)
         for w, img in part.table.items():
             row = table[w]
             for w2, c in img.items():

@@ -47,6 +47,7 @@ _INT = re.compile(r"-?[0-9]+")
 # CPython's default cap on int() of a digit string, fixed here so that every
 # Python, including those without the cap, reads the same text the same way.
 _MAX_DIGITS = 4300
+_LONG_DIGITS = re.compile(rf"(?<![0-9])[0-9]{{{_MAX_DIGITS + 1}}}")  # from a run's first digit
 
 
 class _Scanner:
@@ -304,6 +305,9 @@ def parse_ints(text: str, what: str) -> tuple[int, ...]:
     pieces = [piece.strip() for piece in text.split(",")]
     if not all(map(_INT.fullmatch, pieces)):
         raise ParseError(f"malformed {what}: {text!r}", 0)
+    too_long = _LONG_DIGITS.search(text)
+    if too_long:
+        raise ParseError(f"integer of more than {_MAX_DIGITS} digits", too_long.start())
     return tuple(map(int, pieces))
 
 

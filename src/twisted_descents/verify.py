@@ -13,6 +13,10 @@ sets the exit code.  Every law runs through one engine, ``_sweep``:
 - Otherwise the number of cases checked feeds ``summary`` for the ``PASS``
   line.  A law that checked no case at all is ``VACUOUS``: it does not hold.
 
+A kernel result that many cases share may sit in a table built during the
+sweep; no table outlives its suite call.  Kernels are looked up through this
+module's names when they run, so a fault planted there reaches every table.
+
 Sweep sizes follow the documented desk-scale defaults and scale with the
 configured caps.  All randomness flows through one seeded generator per
 suite, so reports are reproducible.
@@ -376,11 +380,15 @@ def _by_left_support(dh) -> dict:
 def _matched_reciprocity(f, g, fg, h, piece) -> str | None:
     """(f ∗ g) ∘ h = m((f ⊗ g) ∘₂ δ(h)) on basis keys, given fg = f ∗ g and the
     terms of δ(h) whose left leg has support supp f."""
-    lhs = {}
-    if fg is not None:
-        key = compose_basis(fg, h)
-        if key is not None:
-            lhs[key] = 1
+    lhs = compose_basis(fg, h) if fg is not None else None
+    if len(piece) == 1:  # as for a basis h: the one term h|A ⊗ h|B
+        [(l, r, c)] = piece
+        fl, gr = compose_basis(f, l), compose_basis(g, r)
+        key = conv_basis(fl, gr) if fl is not None and gr is not None else None
+        # the sides agree as one key with coefficient 1, or as zero
+        if (lhs, 1) != (key, c) and (lhs is not None or key is not None and c):
+            return _show(f=f, g=g, h=h)
+        return None
     rhs: dict = {}
     for l, r, c in piece:
         fl = compose_basis(f, l)
@@ -390,15 +398,22 @@ def _matched_reciprocity(f, g, fg, h, piece) -> str | None:
         key = conv_basis(fl, gr)
         if key is not None:
             rhs[key] = rhs.get(key, 0) + c
-    if lhs != {k: c for k, c in rhs.items() if c}:
+    if ({} if lhs is None else {lhs: 1}) != {k: c for k, c in rhs.items() if c}:
         return _show(f=f, g=g, h=h)
 
 
-def _reciprocity(f, g, h, dh) -> str | None:
-    """The same law through the public elements, for any supports."""
+def _pair(f, g) -> tuple:
+    """The parts of the law free of h: f ∗ g as an element (None when it is
+    zero) and f ⊗ g."""
     fg = conv_basis(f, g)
-    lhs = composition_product(basis(fg), basis(h)) if fg is not None else ZERO
-    if lhs != multiply_tensor_legs(tensor_composition(tensor(basis(f), basis(g)), dh)):
+    return None if fg is None else basis(fg), tensor(basis(f), basis(g))
+
+
+def _reciprocity(f, g, h, dh, fg, f_g) -> str | None:
+    """The same law through the public elements, for any supports, given
+    ``_pair(f, g)`` as fg and f_g."""
+    lhs = composition_product(fg, basis(h)) if fg is not None else ZERO
+    if lhs != multiply_tensor_legs(tensor_composition(f_g, dh)):
         return _show(f=f, g=g, h=h)
 
 
@@ -432,23 +447,31 @@ def suite_reciprocity(cfg: Config) -> list[LawResult]:
     def all_triples():
         words = _words(small)
         deltas = {h: coproduct(basis(h)) for h in words}
-        for f, g, h in itertools.product(words, repeat=3):
-            yield f, g, h, deltas[h]
+        for f, g in itertools.product(words, repeat=2):
+            pair = _pair(f, g)
+            for h in words:
+                yield f, g, h, deltas[h], *pair
 
-    # seeded random triples over the full ground set, any supports
+    # seeded random triples over the full ground set, any supports, each
+    # distinct h expanded by δ once
     def draw():
         return random_set_composition(rng, ground)
 
-    def random_triple(f, g, h):
-        return _reciprocity(f, g, h, coproduct(basis(h)))
+    def random_triples():
+        deltas: dict = {}
+        for label, f, g, h in _random_cases(trials, draw, 3):
+            dh = deltas.get(h)
+            if dh is None:
+                dh = deltas[h] = coproduct(basis(h))
+            yield label, f, g, h, dh, *_pair(f, g)
 
     return [
         _sweep("reciprocity", "matched-support", matched_triples(), _matched_reciprocity,
                lambda k: f"{k} triples, supp f ⊔ supp g = supp h <= [{n}]"),
         _sweep("reciprocity", "all-triples-small", all_triples(), _reciprocity,
                lambda k: f"{k} triples over [{len(small)}]"),
-        _sweep("reciprocity", "random-triples", _random_cases(trials, draw, 3),
-               _trial(random_triple), lambda _: f"{trials} seeded triples over [{n}]"),
+        _sweep("reciprocity", "random-triples", random_triples(),
+               _trial(_reciprocity), lambda _: f"{trials} seeded triples over [{n}]"),
     ]
 
 
@@ -517,12 +540,21 @@ def suite_oracle(cfg: Config) -> list[LawResult]:
     ground = _ground(n)
     words = list(orc.all_words(ground, cap=n))
     expected_words = sum(math.comb(n, r) * count_set_compositions(r) for r in range(n + 1))
+    memo: dict = {}
+
+    # represent, built once per (composition, universe) in this call
+    def represent(sc, universe):
+        key = (sc, frozenset(universe))
+        endo = memo.get(key)
+        if endo is None:
+            endo = memo[key] = orc.represent(sc, universe)
+        return endo
 
     # composition agreement, support by support, with table reuse
     def equal_support_pairs():
         for sub in _subsets(ground):
             comps = _comps_of(sub)
-            tables = {sc: orc.represent(sc, sub) for sc in comps}
+            tables = {sc: represent(sc, sub) for sc in comps}
             yield from ((a, b, tables) for a, b in itertools.product(comps, repeat=2))
 
     def composition_agrees(a, b, tables):
@@ -539,12 +571,12 @@ def suite_oracle(cfg: Config) -> list[LawResult]:
             union = tuple(sorted(sub_a + sub_b))
             comps_b = _comps_of(sub_b)
             for a in _comps_of(sub_a):
-                ra = orc.represent(a, union)
+                ra = represent(a, union)
                 yield from ((a, b, ra, union) for b in comps_b)
 
     def convolution_agrees(a, b, ra, union):
-        lhs = orc.endo_convolution(ra, orc.represent(b, union))
-        if lhs != orc.endo_of(convolution(basis(a), basis(b)), union):
+        lhs = orc.endo_convolution(ra, represent(b, union))
+        if lhs != orc.endo_of(convolution(basis(a), basis(b)), union, represent_of=represent):
             return _show(a=a, b=b)
 
     # freeness: distinct set compositions give distinct endomorphisms
@@ -554,7 +586,7 @@ def suite_oracle(cfg: Config) -> list[LawResult]:
             yield from ((sc, sub, seen) for sc in _comps_of(sub))
 
     def distinct(sc, sub, seen):
-        table = orc.represent(sc, sub).table
+        table = represent(sc, sub).table
         key = frozenset((w, frozenset(image.items())) for w, image in table.items())
         if key in seen:
             return f"{render(basis(seen[key]))} and {render(basis(sc))} coincide"
@@ -647,10 +679,19 @@ def suite_solomon(cfg: Config) -> list[LawResult]:
         if solomon_compose(one, a) != a or solomon_compose(a, one) != a:
             return f"weight {m}, composition {c}"
 
-    # associativity of the matrix rule
-    def associative(c1, c2, c3):
-        a, b, c = (DescentElement({x: 1}) for x in (c1, c2, c3))
-        if solomon_compose(solomon_compose(a, b), c) != solomon_compose(a, solomon_compose(b, c)):
+    # associativity of the matrix rule; the inner products of every triple
+    # come from one table of basis products per weight
+    def triples():
+        for m in range(1, assoc_n + 1):
+            comps = list(compositions(m))
+            d = {c: DescentElement({c: 1}) for c in comps}
+            pairs = itertools.product(comps, repeat=2)
+            products = {(a, b): solomon_compose(d[a], d[b]) for a, b in pairs}
+            for c1, c2, c3 in itertools.product(comps, repeat=3):
+                yield c1, c2, c3, d, products
+
+    def associative(c1, c2, c3, d, products):
+        if solomon_compose(products[c1, c2], d[c3]) != solomon_compose(d[c1], products[c2, c3]):
             return f"{c1}, {c2}, {c3}"
 
     # weight mismatch annihilates
@@ -668,10 +709,8 @@ def suite_solomon(cfg: Config) -> list[LawResult]:
                lambda k: f"{k} pairs, weight <= {orbit_n}"),
         _sweep("solomon", "unit", ((m, c) for m in range(1, unit_n + 1) for c in compositions(m)),
                unit, lambda _: f"1_n two-sided unit, n <= {unit_n}"),
-        _sweep("solomon", "associativity",
-               (triple for m in range(1, assoc_n + 1)
-                for triple in itertools.product(compositions(m), repeat=3)),
-               associative, lambda k: f"{k} triples, weight <= {assoc_n}"),
+        _sweep("solomon", "associativity", triples(), associative,
+               lambda k: f"{k} triples, weight <= {assoc_n}"),
         _single("solomon", "weight-mismatch", mismatch, "D_2 o D_3 = 0"),
     ]
 

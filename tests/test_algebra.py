@@ -16,7 +16,6 @@ from twisted_descents.algebra import (
     conv_basis,
     convolution,
     coproduct,
-    graded_component,
     multiply_tensor_legs,
     permutation_basis,
     tensor,
@@ -231,15 +230,6 @@ def test_compose_equivariance_full_n4():
                 assert act(ab, s) == composition_product(
                     act(xa, s), act(basis(b), s)
                 )
-
-
-def test_graded_component():
-    x = parse("[{1}] + [{1}|{2}]")
-    assert graded_component(x, {1, 2}) == parse("[{1}|{2}]")
-    assert graded_component(x, {1}) == parse("[{1}]")
-    assert graded_component(x, ()) == ZERO
-    assert graded_component(UNIT, ()) == UNIT
-    assert graded_component(ZERO, {1}) == ZERO
 
 
 def test_chamber_helpers():

@@ -104,6 +104,23 @@ def test_oversized_integers_are_parse_errors(capsys):
         assert err.startswith("parse error: integer of more than 4300 digits")
 
 
+@pytest.mark.parametrize(
+    "argv, position",
+    [
+        (["solomon", "1" * 5000, "1"], 0),
+        (["young", "1" * 5000, "1"], 0),
+        (["solomon", "2, " + "1" * 5000, "2"], 3),
+        (["young", "2,1", "3,1,-" + "2" * 5000], 5),
+    ],
+    ids=lambda v: str(v) if isinstance(v, int) else v[0],
+)
+def test_oversized_comma_list_integers_are_parse_errors(capsys, argv, position):
+    # the error points at the first digit of the long piece, as in the element grammar
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == f"parse error: integer of more than 4300 digits (at position {position})\n"
+
+
 def test_usage_error_exit_code(capsys):
     code, _, _ = run(capsys, "frobnicate")
     assert code == EXIT_USAGE

@@ -2,17 +2,21 @@
 
 The reciprocity sweep reads only one support-graded piece of each δ(h), the
 oracle memoises word coproducts, Solomon's rule counts matrices through a
-merged-state DP, ∘ runs large support groups on block masks, and the
-coassociativity law expands the legs of δ(x) from one table of δ.  Each test
-here either breaks an input on purpose and checks that the law notices, or
-compares a kernel with a slow model written below.
+merged-state DP, ∘ runs large support groups on block masks, the
+coassociativity law expands the legs of δ(x) from one table of δ, and other
+laws read repeated kernel results from tables built once per sweep.  Each
+test here either breaks an input on purpose and checks that the law notices,
+counts how often a law runs a kernel, or compares a kernel with a slow model
+written below.
 """
 
 import itertools
+import random
+from collections import Counter
 
 import pytest
 
-from twisted_descents import algebra, verify
+from twisted_descents import algebra, oracle, solomon, verify
 from twisted_descents.algebra import TensorElement, basis
 from twisted_descents.oracle import (
     all_words,
@@ -211,3 +215,120 @@ def test_fixed_space_catches_an_equivariant_mask_composition_fault(monkeypatch):
     [result] = verify.run_suite("fixed-space", cfg)
     assert not result.ok
     assert result.detail == "n=4"
+
+
+# Sweep tables: a law builds each repeated kernel result once per sweep and
+# reads it from then on, so a fault planted in the kernel must still reach
+# every case that reads the table, and each kernel runs once per table entry.
+
+
+def _calls_during(monkeypatch, name, law, module=verify):
+    """The argument tuples of every call of ``module.<name>`` made while ``law`` sweeps."""
+    calls, current = [], []
+    real, real_sweep = getattr(module, name), verify._sweep
+
+    def counting(*args):
+        if current == [law]:
+            calls.append(args)
+        return real(*args)
+
+    def sweep(suite, this_law, *rest):
+        current.append(this_law)
+        try:
+            return real_sweep(suite, this_law, *rest)
+        finally:
+            current.pop()
+
+    monkeypatch.setattr(module, name, counting)
+    monkeypatch.setattr(verify, "_sweep", sweep)
+    return calls
+
+
+def test_random_reciprocity_expands_each_h_once(monkeypatch):
+    cfg = verify.Config(max_n=3, trials=300)
+    calls = _calls_during(monkeypatch, "coproduct", "random-triples")
+    results = verify.suite_reciprocity(cfg)
+    assert all(r.ok for r in results)
+    rng = random.Random(cfg.seed)
+    draws = [verify.random_set_composition(rng, (1, 2, 3)) for _ in range(3 * 300)]
+    drawn = set(draws[2::3])  # h is the third draw of each trial
+    assert len(drawn) > 10
+    assert Counter(calls) == Counter((basis(h),) for h in drawn)
+
+
+@pytest.mark.parametrize("mode", ["drop", "coefficient"])
+def test_random_reciprocity_reads_a_broken_coproduct_from_its_table(monkeypatch, mode):
+    fault = _faulty_coproduct(verify.coproduct, frozenset({3}), mode)
+    monkeypatch.setattr(verify, "coproduct", fault)
+    results = verify.suite_reciprocity(verify.Config(max_n=3, trials=300))
+    result = next(r for r in results if r.law == "random-triples")
+    assert not result.ok
+    assert result.detail.startswith("trial ") and result.detail.endswith(f"h={render(basis(H))}")
+
+
+def test_solomon_associativity_builds_each_basis_product_once(monkeypatch):
+    calls = _calls_during(monkeypatch, "solomon_compose", "associativity")
+    result = next(r for r in verify.suite_solomon(verify.Config(max_n=4))
+                  if r.law == "associativity")
+    assert result.ok
+    by_weight = Counter(a.weight for a, _ in calls)
+    sizes = {m: len(list(compositions(m))) for m in range(1, 5)}
+    assert by_weight == {m: c * c + 2 * c ** 3 for m, c in sizes.items()}
+
+
+def test_solomon_associativity_reads_a_broken_basis_product_from_its_table(monkeypatch):
+    real = verify.solomon_compose
+    pair = ({(1, 1): 1}, {(2,): 1})
+
+    def solomon_compose(a, b):
+        out = real(a, b)
+        return out + a if (a.terms, b.terms) == pair else out
+
+    monkeypatch.setattr(verify, "solomon_compose", solomon_compose)
+    result = next(r for r in verify.suite_solomon(verify.Config(max_n=3))
+                  if r.law == "associativity")
+    assert not result.ok
+    assert "(1, 1), (2,)" in result.detail
+
+
+def test_solomon_truncation_catches_a_broken_orbit_sum(monkeypatch):
+    real = solomon.orbit_sum
+
+    def orbit_sum(c, *args, **kwargs):
+        out = real(c, *args, **kwargs)
+        return out - basis(next(iter(out.terms))) if tuple(c) == (2, 1) else out
+
+    monkeypatch.setattr(solomon, "orbit_sum", orbit_sum)
+    result = next(r for r in verify.suite_solomon(verify.Config(max_n=3))
+                  if r.law == "truncation")
+    assert not result.ok
+    assert "(2, 1)" in result.detail
+
+
+def test_oracle_suite_represents_each_composition_once_per_call(monkeypatch):
+    real = oracle.represent
+    counts: Counter = Counter()
+
+    def represent(sc, universe):
+        counts[sc, frozenset(universe)] += 1
+        return real(sc, universe)
+
+    monkeypatch.setattr(oracle, "represent", represent)
+    cfg = verify.Config(max_support=3)
+    assert all(r.ok for r in verify.suite_oracle(cfg))
+    assert len(counts) > 26 and set(counts.values()) == {1}
+    assert all(r.ok for r in verify.suite_oracle(cfg))
+    assert set(counts.values()) == {2}  # the second call starts with no memo
+
+
+def test_convolution_agreement_reads_a_broken_represent_from_its_memo(monkeypatch):
+    real = oracle.represent
+    victim, other = SetComposition([[1], [2]]), SetComposition([[2], [1]])
+
+    def represent(sc, universe):
+        return real(other if sc == victim else sc, universe)
+
+    monkeypatch.setattr(oracle, "represent", represent)
+    result = next(r for r in verify.suite_oracle(verify.Config(max_support=3))
+                  if r.law == "convolution-agreement")
+    assert result.line() == "FAIL [oracle] convolution-agreement: a=1*[{1}], b=1*[{2}]"
