@@ -14,9 +14,8 @@ coefficients; all functions are pure.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
-from operator import itemgetter
+from operator import itemgetter, lshift, or_
 from typing import Iterable, Iterator, Mapping
 
 from .limits import MAX_TERMS, check_size
@@ -268,7 +267,9 @@ def convolution(x: TDElement, y: TDElement, max_terms: int = MAX_TERMS) -> TDEle
 
 # A support group of a composition product with fewer term pairs than this
 # pairs its terms through compose_basis: below it, the bit index and the
-# block rows cost more than they save (measured crossover).
+# block rows cost more than they save.  Packed masks against compose_basis
+# (timeit, random same-support groups, |S| = 3..6): 0.49-1.27x at 64 pairs,
+# 0.70-1.96x at 36; orbit sums (1,4) o (1,2,2), 150 pairs: 1.10-1.16x.
 _MASK_PAIRS = 64
 
 
@@ -315,11 +316,13 @@ class _BitIndex:
 
 
 class _MaskGroup:
-    """The terms of y on one support, for ∘ by block masks.
+    """The terms of y on one support, for ∘ by packed block masks.
 
     The blocks of a∘b are u & w over the blocks u of a and w of b, row by
-    row, so a∘b is the concatenation of one row per block u of a.  A row,
-    the cuts of u against every term of y, is made once per distinct u.
+    row, so a∘b joins one row per block u of a, made once per distinct u:
+    per term of y, the nonzero cuts of u packed ``width`` bits each, first
+    cut lowest, and their bit count.  ``width``, the label count of the
+    index, is final once the heavy groups are built.
     """
 
     __slots__ = ("index", "masks", "coeffs", "rows")
@@ -328,22 +331,36 @@ class _MaskGroup:
         self.index = index
         self.masks = [tuple(map(index.mask, b.sets)) for b, _ in terms]
         self.coeffs = [cb for _, cb in terms]
-        self.rows: dict = {}
+        self.rows: dict = {}  # block of a -> ([packed cuts], [bit counts]), one each per term
         index.sets.setdefault(sum(self.masks[0]), support)
 
-    def multiply(self, a: SetComposition, ca: int, acc: dict) -> None:
-        """Add ca·cb·(a ∘ b) to acc for each term cb·b of the group, keyed by masks.
+    def _row(self, block: frozenset[int]) -> tuple:
+        """Make and keep the row of ``block``; each new cut mask gets its frozenset."""
+        index = self.index
+        u, width, sets = index.mask(block), len(index.labels), index.sets
+        packed, counts = [], []
+        for bm in self.masks:
+            key = n = 0
+            for w in bm:
+                if c := u & w:
+                    if c not in sets:
+                        index.set(c)
+                    key |= c << n
+                    n += width
+            packed.append(key)
+            counts.append(n)
+        row = self.rows[block] = (packed, counts)
+        return row
 
-        Every cut mask gets its frozenset in the index as its row is made.
+    def multiply(self, a: SetComposition, ca: int, acc: dict) -> None:
+        """Add ca·cb·(a ∘ b) to acc for each term cb·b of the group, keyed by one int.
+
+        Rows join right to left: each shifts the later cuts up by its bit count.
         """
-        keys = None
-        for u in map(self.index.mask, a.sets):
-            row = self.rows.get(u)
-            if row is None:
-                row = self.rows[u] = [tuple([c for w in bm if (c := u & w)]) for bm in self.masks]
-                for c in set(itertools.chain.from_iterable(row)).difference(self.index.sets):
-                    self.index.set(c)
-            keys = row if keys is None else map(tuple.__add__, keys, row)
+        rows, keys = self.rows, None
+        for block in reversed(a.sets):
+            packed, counts = rows.get(block) or self._row(block)
+            keys = packed if keys is None else map(or_, map(lshift, keys, counts), packed)
         for key, cb in zip(keys, self.coeffs):
             acc[key] = acc.get(key, 0) + ca * cb
 
@@ -353,9 +370,10 @@ def composition_product(x: TDElement, y: TDElement, max_terms: int = MAX_TERMS) 
 
     ∘ is graded by support, so each term of x meets only the terms of y on
     the same support.  A support group with at least ``_MASK_PAIRS`` term
-    pairs works on int block masks over a bit index local to this call (see
-    ``_MaskGroup``); smaller groups pair through ``compose_basis``.  Either
-    way the result's terms come in the order of the all-pairs loop.
+    pairs keys each product by one int of cut masks over a bit index local to
+    this call (see ``_MaskGroup``); smaller groups pair through
+    ``compose_basis``.  Int keys never equal SetComposition keys, so both
+    share one accumulator, in the order of the all-pairs loop.
     Raises SizeLimitError when |x|·|y| term pairs exceed ``max_terms``.
     """
     pairs = len(x.terms) * len(y.terms)
@@ -383,11 +401,17 @@ def composition_product(x: TDElement, y: TDElement, max_terms: int = MAX_TERMS) 
             acc[key] = acc.get(key, 0) + ca * cb
     if index is None:
         return TDElement._make(_clean(acc))
-    make, get = SetComposition._make, index.sets.__getitem__
-    return TDElement._make(
-        {make(tuple(map(get, k)), get(sum(k))) if type(k) is tuple else k: c
-         for k, c in acc.items() if c}
-    )
+    make, get, width = SetComposition._make, index.sets.__getitem__, len(index.labels)
+    full, terms = (1 << width) - 1, {}
+    for k, c in _clean(acc).items():
+        if type(k) is int:
+            masks = []
+            while k:
+                masks.append(k & full)
+                k >>= width
+            k = make(tuple(map(get, masks)), get(sum(masks)))
+        terms[k] = c
+    return TDElement._make(terms)
 
 
 def coproduct(x: TDElement, max_terms: int = MAX_TERMS) -> TensorElement:

@@ -85,7 +85,7 @@ def _max_terms(args: argparse.Namespace) -> int:
 def _emit(args: argparse.Namespace, text, obj) -> None:
     """Print ``text()`` or, under ``--format json``, ``obj()``; only one is built."""
     if args.format == "json":
-        print(json.dumps(obj(), sort_keys=True))
+        print(json.dumps(obj(), sort_keys=True, check_circular=False))
     else:
         print(text())
 

@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from twisted_descents.algebra import (
+    _MASK_PAIRS,
     TDElement,
     TensorElement,
     UNIT,
@@ -251,6 +252,26 @@ def test_kernels_match_public_ops():
     assert compose_basis(a, b) == sc({5}, {3}, {1, 4})
     assert compose_basis(a, sc({1, 2})) is None
 
+
+
+def test_mask_path_cancels_mixed_signs_like_the_all_pairs_loop():
+    # E = Σ_F (-1)^(ℓ(F)-1)·(6/ℓ(F))·1_F over the set compositions F of
+    # {1,2,3} is 6 times the first Eulerian idempotent, so E ∘ E = 6·E.  Both
+    # signs meet on every key of E ∘ y, and two of its keys cancel to 0.
+    e = TDElement(
+        {F: (-1) ** (len(F) - 1) * (6 // len(F)) for F in enumerate_set_compositions((1, 2, 3))}
+    )
+    y = e - 6 * basis(chamber((1, 2, 3)))
+    assert len(e.terms) * len(y.terms) >= _MASK_PAIRS
+    acc: dict = {}
+    for a, ca in e.terms.items():
+        for b, cb in y.terms.items():
+            key = compose_basis(a, b)
+            acc[key] = acc.get(key, 0) + ca * cb
+    assert 0 in acc.values()
+    want = [(k, c) for k, c in acc.items() if c]
+    assert list(composition_product(e, y).terms.items()) == want
+    assert composition_product(e, e) == TDElement({F: 6 * c for F, c in e.terms.items()})
 
 def test_coproduct_is_coassociative_on_small_words():
     # (δ ⊗ id)δ(x) = (id ⊗ δ)δ(x), each leg expanded through coproduct

@@ -181,16 +181,21 @@ def test_unshuffling_reports_a_zero_composition(monkeypatch):
 
 def _merge_last_cut_on_masks(monkeypatch):
     # every product made on the mask path of ∘ loses its last cut, that is,
-    # its last two blocks merge; the fault commutes with the S_n action
+    # its last two blocks merge; the fault commutes with the S_n action.  A
+    # product is one int of width-bit cut masks, its last cut in the top field.
     real = algebra._MaskGroup.multiply
 
     def multiply(self, a, ca, acc):
         made: dict = {}
         real(self, a, ca, made)
+        width = len(self.index.labels)
         for key, c in made.items():
-            if len(key) > 1:
-                key = key[:-2] + (key[-2] | key[-1],)
-                self.index.set(key[-1])
+            top = (key.bit_length() - 1) // width * width
+            if top:
+                low = top - width
+                merged = (key >> top) | (key >> low) & ((1 << width) - 1)
+                key = key & ((1 << low) - 1) | merged << low
+                self.index.set(merged)
             acc[key] = acc.get(key, 0) + c
 
     monkeypatch.setattr(algebra._MaskGroup, "multiply", multiply)

@@ -275,6 +275,44 @@ def test_graded_products_match_all_pairs(xy):
     assert convolution(y, x).terms == all_pairs(y, x, conv_basis)
 
 
+
+# Labels near both ends of 1..MAX_LABEL; three disjoint 6-label supports of
+# them make a bit index of 18 labels, so a 6-block product packs past bit 90.
+SPREAD = tuple(range(1, 10)) + tuple(range(MAX_LABEL - 8, MAX_LABEL + 1))
+
+
+@st.composite
+def three_heavy_pairs(draw):
+    """x, y with HEAVY terms each on three disjoint supports of 6 labels,
+    a chamber in x on each, and a few terms on a light support of at most 4
+    labels, so that one call runs mask groups and compose_basis side by side."""
+    labels = draw(st.permutations(SPREAD))
+    heavy = [frozenset(labels[i : i + 6]) for i in (0, 6, 12)]
+    light = draw(st.sets(st.sampled_from(SPREAD), min_size=1, max_size=4))
+    sides = []
+    for _ in range(2):
+        terms = {}
+        for support in heavy:
+            comps = draw(st.lists(comps_on(support), min_size=HEAVY, max_size=HEAVY, unique=True))
+            terms.update((c, draw(st.sampled_from([-2, -1, 1, 2]))) for c in comps)
+        for c in draw(st.lists(comps_on(light), min_size=1, max_size=3)):
+            terms[c] = draw(st.integers(-2, 2))
+        sides.append(terms)
+    x, y = sides
+    for support in heavy:
+        x[SetComposition([[v] for v in draw(st.permutations(sorted(support)))])] = 1
+    return TDElement(x), TDElement(y)
+
+
+@common
+@given(xy=three_heavy_pairs())
+def test_products_of_three_mask_groups_match_all_pairs(xy):
+    x, y = xy
+    got = composition_product(x, y)
+    assert list(got.terms.items()) == list(all_pairs(x, y, compose_basis).items())
+    # x's chambers absorb ∘ from the right: 6-block products before any cancelling
+    assert sum(len(a) == 6 for a in x.terms) >= 3
+
 def coproduct_by_subsets(x) -> dict:
     """δ from its definition: one term per subset L of the support."""
     acc: dict = {}
