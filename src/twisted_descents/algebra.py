@@ -419,47 +419,45 @@ def coproduct(x: TDElement, max_terms: int = MAX_TERMS) -> TensorElement:
 
     Each term 1_(S1,...,Sk) contributes one summand per family of splits
     Ti ⊔ Ui = Si; empty parts are dropped from either leg.  The splits of a
-    block are the submasks t of its mask m, walked as t = (t - 1) & m (Knuth,
-    TAOCP 4A, §7.1.3), over a bit index local to this call; each leg block
-    and leg support is built once per mask.
+    block are the submasks t of its mask m, walked from m down to 0 as
+    t = (t - 1) & m (Knuth, TAOCP 4A, §7.1.3), over a bit index local to
+    this call.  t ↦ m ^ t reverses each walk, so the right leg of family i
+    is the left leg of family N-1-i: only left legs are built.  Keys on
+    distinct supports never meet, so a new support's keys go in at once.
     """
     check_size("coproduct terms", sum(1 << len(sc.support) for sc in x.terms), max_terms)
     index = _BitIndex()
     sets = index.sets
     make = SetComposition._make
     acc: dict = {}
+    seen: set = set()  # supports of the terms so far
+    repeated = False
     for sc, coeff in x.terms.items():
         if not coeff:
             continue
-        full = 0
-        legs = [((), (), 0)]  # (left blocks, right blocks, left support mask)
+        legs = [((), 0)]  # (left blocks, left support mask)
         for block in sc.sets:
             m = index.mask(block)
-            full |= m
             submasks = [m]
             while submasks[-1]:
                 submasks.append((submasks[-1] - 1) & m)
-            splits = [
-                ((index.set(t),) if t else (), (index.set(m ^ t),) if t != m else (), t)
-                for t in submasks
-            ]
-            legs = [(l + lt, r + rt, lm | t) for l, r, lm in legs for lt, rt, t in splits]
-        keys = []
-        for l, r, lm in legs:
+            splits = [((index.set(t),) if t else (), t) for t in submasks]
+            legs = [(l + lt, lm | t) for l, lm in legs for lt, t in splits]
+        made = []
+        for l, lm in legs:
             left = sets.get(lm)
             if left is None:
                 left = sets[lm] = frozenset().union(*l)
-            right = sets.get(full ^ lm)
-            if right is None:
-                right = sets[full ^ lm] = frozenset().union(*r)
-            keys.append((make(l, left), make(r, right)))
-        if not acc:
-            # the keys of one term are distinct, so only later terms can merge
-            acc = dict.fromkeys(keys, coeff)
+            made.append(make(l, left))
+        keys = zip(made, reversed(made))
+        if sc.support not in seen:
+            seen.add(sc.support)
+            acc.update(dict.fromkeys(keys, coeff))
             continue
+        repeated = True
         for key in keys:
             acc[key] = acc.get(key, 0) + coeff
-    return TensorElement._make(_clean(acc) if len(x.terms) > 1 else acc)
+    return TensorElement._make(_clean(acc) if repeated else acc)
 
 
 def tensor_convolution(x: TensorElement, y: TensorElement) -> TensorElement:

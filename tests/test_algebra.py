@@ -273,6 +273,75 @@ def test_mask_path_cancels_mixed_signs_like_the_all_pairs_loop():
     assert list(composition_product(e, y).terms.items()) == want
     assert composition_product(e, e) == TDElement({F: 6 * c for F, c in e.terms.items()})
 
+
+@pytest.mark.parametrize(
+    "x, want",
+    [
+        # both terms on {1,2}: the two middle splits cancel
+        (
+            "[{1,2}] - [{1}|{2}]",
+            [
+                ((((1, 2),), ()), 1),
+                (((), ((1, 2),)), 1),
+                ((((1,), (2,)), ()), -1),
+                (((), ((1,), (2,))), -1),
+            ],
+        ),
+        # two terms on {1,2,3} around one on {4}; the third term adds into
+        # two keys of the first
+        (
+            "[{1}|{2,3}] + 2*[{4}] - 3*[{2,3}|{1}]",
+            [
+                ((((1,), (2, 3)), ()), 1),
+                ((((1,), (3,)), ((2,),)), 1),
+                ((((1,), (2,)), ((3,),)), 1),
+                ((((1,),), ((2, 3),)), -2),
+                ((((2, 3),), ((1,),)), -2),
+                ((((3,),), ((1,), (2,))), 1),
+                ((((2,),), ((1,), (3,))), 1),
+                (((), ((1,), (2, 3))), 1),
+                ((((4,),), ()), 2),
+                (((), ((4,),)), 2),
+                ((((2, 3), (1,)), ()), -3),
+                ((((3,), (1,)), ((2,),)), -3),
+                ((((3,),), ((2,), (1,))), -3),
+                ((((2,), (1,)), ((3,),)), -3),
+                ((((2,),), ((3,), (1,))), -3),
+                (((), ((2, 3), (1,))), -3),
+            ],
+        ),
+        (UNIT, [(((), ()), 1)]),
+        (
+            "[{2}|{4}|{1}|{3}]",
+            [
+                ((((2,), (4,), (1,), (3,)), ()), 1),
+                ((((2,), (4,), (1,)), ((3,),)), 1),
+                ((((2,), (4,), (3,)), ((1,),)), 1),
+                ((((2,), (4,)), ((1,), (3,))), 1),
+                ((((2,), (1,), (3,)), ((4,),)), 1),
+                ((((2,), (1,)), ((4,), (3,))), 1),
+                ((((2,), (3,)), ((4,), (1,))), 1),
+                ((((2,),), ((4,), (1,), (3,))), 1),
+                ((((4,), (1,), (3,)), ((2,),)), 1),
+                ((((4,), (1,)), ((2,), (3,))), 1),
+                ((((4,), (3,)), ((2,), (1,))), 1),
+                ((((4,),), ((2,), (1,), (3,))), 1),
+                ((((1,), (3,)), ((2,), (4,))), 1),
+                ((((1,),), ((2,), (4,), (3,))), 1),
+                ((((3,),), ((2,), (4,), (1,))), 1),
+                (((), ((2,), (4,), (1,), (3,))), 1),
+            ],
+        ),
+    ],
+)
+def test_coproduct_term_order(x, want):
+    # .terms order is part of the kernel's output: keys go in family by
+    # family, each block's splits walked from "all left" down to "all right"
+    x = x if isinstance(x, TDElement) else parse(x)
+    want = [((SetComposition(l), SetComposition(r)), c) for (l, r), c in want]
+    assert list(coproduct(x).terms.items()) == want
+
+
 def test_coproduct_is_coassociative_on_small_words():
     # (δ ⊗ id)δ(x) = (id ⊗ δ)δ(x), each leg expanded through coproduct
     for sub in [(1, 2), (1, 2, 3)]:
