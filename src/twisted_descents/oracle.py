@@ -16,7 +16,7 @@ from types import MappingProxyType
 from typing import Callable, Iterable, Mapping
 
 from .algebra import TDElement
-from .limits import ORACLE_SUPPORT_CAP, check_size
+from .limits import ENUMERATION_CAP, ORACLE_SUPPORT_CAP, check_size
 from .setcomp import (
     SetComposition,
     check_ground_set,
@@ -64,10 +64,11 @@ def _splits(u: BWord) -> tuple[tuple[tuple[BWord, BWord], int], ...]:
 
 @lru_cache(maxsize=None)
 def _words_of(universe: tuple[int, ...]) -> tuple[BWord, ...]:
+    check_size("word-table universe size", len(universe), ENUMERATION_CAP)
     out = []
     for r in range(len(universe) + 1):
         for sub in itertools.combinations(universe, r):
-            out.extend(enumerate_set_compositions(sub, cap=len(universe)))
+            out.extend(enumerate_set_compositions(sub))
     return tuple(out)
 
 
@@ -134,7 +135,7 @@ def characteristic_endo(s: Iterable[int], universe: Iterable[int]) -> Endomorphi
         raise ValueError(f"degree {sorted(s)} not inside universe {sorted(ground)}")
     table = {
         w: ({w: 1} if w.support == s else {})
-        for w in all_words(ground, cap=len(ground))
+        for w in _words_of(tuple(sorted(ground)))
     }
     return Endomorphism(ground, table)
 
@@ -180,7 +181,7 @@ def endo_of(
     """Linear combination of represented basis elements; ``represent_of``, if
     given, stands in for ``represent``, for example to read a memo of it."""
     ground = check_ground_set(universe)
-    table: dict = {w: {} for w in all_words(ground, cap=len(ground))}
+    table: dict = {w: {} for w in _words_of(tuple(sorted(ground)))}
     for sc, coeff in x.terms.items():
         part = (represent_of or represent)(sc, ground)
         for w, img in part.table.items():

@@ -9,7 +9,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Iterator
 
-from .setcomp import check_composition
+from .setcomp import check_composition, interval_partition
 
 
 def check_permutation(values: Iterable[int]) -> tuple[int, ...]:
@@ -51,17 +51,6 @@ def symmetric_group(n: int) -> Iterator[tuple[int, ...]]:
     return itertools.permutations(range(1, n + 1))
 
 
-def composition_descents(parts: Iterable[int]) -> frozenset[int]:
-    """Partial sums n1, n1+n2, ... (excluding the total) of a composition."""
-    c = check_composition(parts)
-    out = []
-    acc = 0
-    for p in c[:-1]:
-        acc += p
-        out.append(acc)
-    return frozenset(out)
-
-
 def descent_class(parts: Iterable[int]) -> Iterator[tuple[int, ...]]:
     """Permutations whose descent set is contained in the partial sums of ``parts``.
 
@@ -69,7 +58,7 @@ def descent_class(parts: Iterable[int]) -> Iterator[tuple[int, ...]]:
     sizes n1, n2, ....  Yields in lexicographic order.
     """
     c = check_composition(parts)
-    allowed = composition_descents(c)
+    allowed = frozenset(itertools.accumulate(c[:-1]))
     for p in symmetric_group(sum(c)):
         if descent_set(p) <= allowed:
             yield p
@@ -91,13 +80,7 @@ def young_subgroup(parts: Iterable[int]) -> Iterator[tuple[int, ...]]:
 
     Yields in lexicographic order; the subgroup has order n1! * n2! * ....
     """
-    c = check_composition(parts)
-    starts = []
-    acc = 0
-    for p in c:
-        starts.append(acc)
-        acc += p
-    blocks = [list(range(s + 1, s + p + 1)) for s, p in zip(starts, c)]
-    for pieces in itertools.product(*(itertools.permutations(b) for b in blocks)):
+    blocks = interval_partition(parts)
+    for pieces in itertools.product(*(itertools.permutations(sorted(b)) for b in blocks)):
         yield tuple(x for piece in pieces for x in piece)
 

@@ -40,67 +40,58 @@ from .setcomp import (
     compositions,
     multinomial,
 )
-from .textio import _join_terms, render_composition, render_permutation
+from .textio import _join_terms, render_composition
 
 
-class DescentElement(_Linear):
-    """A homogeneous integer combination of integer compositions of n."""
+class _Graded(_Linear):
+    """A homogeneous integer combination of integer tuples.
+
+    Subclasses set ``_check_key``, the grade of a key (``_grade``) and the
+    plural noun (``_grades``) that names mixed grades in the error message.
+    Every key prints as ``(a,b,...)``, compositions and permutations alike.
+    """
 
     __slots__ = ()
 
     def __init__(self, terms: Mapping | Iterable = ()):
         super().__init__(terms)
-        weights = {sum(c) for c in self.terms}
-        if len(weights) > 1:
-            raise ValueError(f"mixed weights {sorted(weights)} in one element")
+        grades = set(map(self._grade, self.terms))
+        if len(grades) > 1:
+            raise ValueError(f"mixed {self._grades} {sorted(grades)} in one element")
 
-    @staticmethod
-    def _check_key(key):
-        return check_composition(key)
-
-    @property
-    def weight(self) -> int | None:
-        for c in self.terms:
-            return sum(c)
+    def _grade_of(self) -> int | None:
+        """The common grade of the terms; None for the zero element."""
+        for key in self.terms:
+            return self._grade(key)
         return None
 
     def __iter__(self) -> Iterator[tuple[tuple[int, ...], int]]:
-        for c in sorted(self.terms):
-            yield c, self.terms[c]
+        for key in sorted(self.terms):
+            yield key, self.terms[key]
 
     def __repr__(self) -> str:
         body = _join_terms([(c, render_composition(k)) for k, c in self])
-        return f"<DescentElement {body}>"
+        return f"<{type(self).__name__} {body}>"
 
 
-class GroupAlgebraElement(_Linear):
+class DescentElement(_Graded):
+    """A homogeneous integer combination of integer compositions of n."""
+
+    __slots__ = ()
+    _check_key = staticmethod(check_composition)
+    _grade = staticmethod(sum)
+    _grades = "weights"
+    weight = property(_Graded._grade_of)
+
+
+class GroupAlgebraElement(_Graded):
     """An integer combination of permutations of a common degree."""
 
     __slots__ = ()
-
-    def __init__(self, terms: Mapping | Iterable = ()):
-        super().__init__(terms)
-        degrees = {len(p) for p in self.terms}
-        if len(degrees) > 1:
-            raise ValueError(f"mixed degrees {sorted(degrees)} in one element")
-
-    @staticmethod
-    def _check_key(key):
-        return check_permutation(key)
-
-    @property
-    def degree(self) -> int | None:
-        for p in self.terms:
-            return len(p)
-        return None
-
-    def __iter__(self) -> Iterator[tuple[tuple[int, ...], int]]:
-        for p in sorted(self.terms):
-            yield p, self.terms[p]
-
-    def __repr__(self) -> str:
-        body = _join_terms([(c, f"({render_permutation(p)})") for p, c in self])
-        return f"<GroupAlgebraElement {body}>"
+    _check_key = staticmethod(check_permutation)
+    _grade = staticmethod(len)
+    _grades = "degrees"
+    degree = property(_Graded._grade_of)
 
 
 def _row_fill(total: int, capacity: list[int]) -> Iterator[tuple[int, ...]]:
@@ -155,7 +146,7 @@ def solomon_compose(a: DescentElement, b: DescentElement) -> DescentElement:
             coeff = x1 * x2
             for key, count in _flattened_matrices(c1, c2).items():
                 acc[key] = acc.get(key, 0) + coeff * count
-    return DescentElement._make({k: c for k, c in acc.items() if c})
+    return DescentElement._make(_clean(acc))
 
 
 def descent_basis_expand(

@@ -166,8 +166,7 @@ def _disjoint_pairs(ground: tuple[int, ...]) -> Iterable[tuple[tuple[int, ...], 
 
 
 def _comps_of(sub: Iterable[int]) -> list[SetComposition]:
-    sub = tuple(sub)
-    return list(enumerate_set_compositions(sub, cap=max(len(sub), 1)))
+    return list(enumerate_set_compositions(sub))
 
 
 def _words(universe: tuple[int, ...]) -> list[SetComposition]:
@@ -850,7 +849,7 @@ def suite_dims(cfg: Config) -> list[LawResult]:
     n = cfg.n(5)
 
     def fubini(m):
-        enumerated = sum(1 for _ in enumerate_set_compositions(_ground(m), cap=max(m, 1)))
+        enumerated = sum(1 for _ in enumerate_set_compositions(_ground(m)))
         expected = count_set_compositions(m)
         if enumerated != expected:
             return f"n={m}: enumerated {enumerated}, recurrence gives {expected}"

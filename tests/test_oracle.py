@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from twisted_descents.algebra import basis, composition_product, convolution
+from twisted_descents import oracle
 from twisted_descents.limits import SizeLimitError
 from twisted_descents.oracle import (
     Endomorphism,
@@ -67,6 +68,23 @@ def test_all_words_counts():
     with pytest.raises(SizeLimitError) as err:
         all_words(range(1, 12))
     assert (err.value.cap, err.value.requested) == (4, 11)
+
+
+@pytest.mark.parametrize("build", [
+    lambda universe: characteristic_endo((), universe),
+    lambda universe: endo_of(basis(word({1})), universe),
+    lambda universe: represent(word({1}), universe),
+], ids=["characteristic_endo", "endo_of", "represent"])
+def test_word_tables_are_refused_before_enumeration(build, monkeypatch):
+    # F(11) is about 1.6e9 words: the cap must fire before any is built
+    def enumerate_nothing(*args, **kwargs):
+        raise AssertionError("word enumeration started")
+
+    monkeypatch.setattr(oracle, "enumerate_set_compositions", enumerate_nothing)
+    with pytest.raises(SizeLimitError) as err:
+        build(range(1, 12))
+    assert str(err.value) == "word-table universe size: 11 requested, cap 10"
+    assert (err.value.cap, err.value.requested) == (10, 11)
 
 
 def test_characteristic_endo_projects():

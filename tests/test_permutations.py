@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -87,3 +88,24 @@ def test_young_subgroup():
     assert (2, 1, 4, 3) in y
     assert all(set(p[:2]) == {1, 2} for p in y)
     assert list(young_subgroup((1, 1, 1))) == [(1, 2, 3)]
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_young_subgroup_and_descent_class_filter_the_symmetric_group(n):
+    for c in compositions(n):
+        cuts = set(itertools.accumulate(c[:-1]))
+        # 0-based positions of each consecutive interval of sizes c
+        blocks = [range(s - p, s) for s, p in zip(itertools.accumulate(c), c)]
+        young = [p for p in symmetric_group(n)
+                 if all({p[i] for i in b} == {i + 1 for i in b} for b in blocks)]
+        descents = [p for p in symmetric_group(n) if descent_set(p) <= cuts]
+        assert list(young_subgroup(c)) == young
+        assert list(descent_class(c)) == descents
+
+
+@pytest.mark.parametrize("bad", [(0,), (2, -1), (True, 1)])
+def test_young_subgroup_and_descent_class_reject_non_positive_parts(bad):
+    with pytest.raises(ValueError):
+        list(young_subgroup(bad))
+    with pytest.raises(ValueError):
+        list(descent_class(bad))

@@ -55,6 +55,27 @@ def test_group_algebra_validation():
     assert GroupAlgebraElement({}).degree is None
 
 
+def test_graded_elements_name_their_mixed_grades():
+    with pytest.raises(ValueError, match=r"^mixed weights \[1, 3\] in one element$"):
+        DescentElement({(1, 2): 1, (1,): 1})
+    with pytest.raises(ValueError, match=r"^mixed degrees \[1, 2\] in one element$"):
+        GroupAlgebraElement({(2, 1): 1, (1,): 1})
+
+
+def test_graded_elements_report_their_grade():
+    assert DescentElement({}).weight is None
+    assert DescentElement({(2, 1): 1, (1, 1, 1): -1}).weight == 3
+    assert GroupAlgebraElement({}).degree is None
+    assert GroupAlgebraElement({(2, 3, 1): 1, (1, 2, 3): 2}).degree == 3
+
+
+def test_graded_elements_have_no_instance_dict():
+    for x in (DescentElement({(2,): 1}), GroupAlgebraElement({(1, 2): 1})):
+        assert not hasattr(x, "__dict__")
+        with pytest.raises(AttributeError):
+            x.extra = 1
+
+
 def test_reprs_share_the_signed_term_renderer():
     assert repr(DescentElement({(1, 1): 1, (2,): -2})) == "<DescentElement 1*(1,1) - 2*(2)>"
     assert repr(DescentElement({(2,): -1})) == "<DescentElement -1*(2)>"
