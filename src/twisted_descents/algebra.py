@@ -69,7 +69,7 @@ class _Ascending(dict):
 
 
 class _Linear:
-    """Shared arithmetic for sparse integer combinations over hashable keys."""
+    """Shared arithmetic for sparse integer combinations; subclasses define ``_check_key``."""
 
     __slots__ = ("terms",)
 
@@ -88,10 +88,6 @@ class _Linear:
         self = cls.__new__(cls)
         self.terms = terms
         return self
-
-    @staticmethod
-    def _check_key(key):
-        return key
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -217,7 +213,6 @@ class TensorElement(_Linear):
 
 ZERO = TDElement._make({})
 UNIT = TDElement._make({EMPTY: 1})
-TENSOR_ZERO = TensorElement._make({})
 
 
 def basis(sc: SetComposition | Iterable[Iterable[int]]) -> TDElement:
@@ -433,8 +428,6 @@ def coproduct(x: TDElement, max_terms: int = MAX_TERMS) -> TensorElement:
     seen: set = set()  # supports of the terms so far
     repeated = False
     for sc, coeff in x.terms.items():
-        if not coeff:
-            continue
         legs = [((), 0)]  # (left blocks, left support mask)
         for block in sc.sets:
             m = index.mask(block)

@@ -1,13 +1,17 @@
-"""Default size caps for enumeration-heavy operations.
+"""Size caps for enumeration-heavy operations.
 
-All caps are overridable per call; the CLI additionally reads them from
-flags and environment variables.
+A caller can move only these caps: ``max_terms`` (default ``MAX_TERMS``) of
+``convolution``, ``composition_product`` and ``coproduct``, set by the CLI's
+``--max-terms`` and ``TDA_MAX_TERMS``; ``cap`` of ``oracle.all_words``
+(default ``ORACLE_SUPPORT_CAP``), set by ``verify --max-support``; and ``cap``
+of ``solomon.descent_class`` (default ``DESCENT_CLASS_CAP``) and
+``solomon.fixed_space_check`` (default 5), set by ``verify --max-n``.
 """
 
 # Largest ground-set label accepted anywhere.
 MAX_LABEL = 2**32 - 1
 
-# Largest set whose ordered partitions we will enumerate by default.
+# Largest set whose ordered partitions we will enumerate.
 # Fubini(10) is around 1e8, the practical desk limit.
 ENUMERATION_CAP = 10
 

@@ -197,13 +197,12 @@ def oracle_check_composition(
     a: SetComposition,
     b: SetComposition,
     universe: Iterable[int] | None = None,
-    cap: int = ORACLE_SUPPORT_CAP,
 ) -> bool:
     """Compare symbolic a ∘ b with endomorphism composition, tablewise."""
     from .algebra import basis, composition_product
 
     ground = check_ground_set(universe if universe is not None else a.support | b.support)
-    check_size("oracle universe size", len(ground), cap)
+    check_size("oracle universe size", len(ground), ORACLE_SUPPORT_CAP)
     lhs = endo_compose(represent(a, ground), represent(b, ground))
     rhs = endo_of(composition_product(basis(a), basis(b)), ground)
     return lhs == rhs

@@ -16,6 +16,9 @@ def check_permutation(values: Iterable[int]) -> tuple[int, ...]:
     """Validate a one-line permutation of {1..n}."""
     p = tuple(values)
     n = len(p)
+    for v in p:
+        if not isinstance(v, int) or isinstance(v, bool):
+            raise ValueError(f"permutation entry {v!r} is not an integer")
     if sorted(p) != list(range(1, n + 1)):
         raise ValueError(f"{p} is not a permutation of 1..{n}")
     return p

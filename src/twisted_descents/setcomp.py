@@ -147,9 +147,7 @@ def multinomial(parts: Iterable[int]) -> int:
     return out
 
 
-def enumerate_set_compositions(
-    s: Iterable[int], cap: int = ENUMERATION_CAP
-) -> Iterator[SetComposition]:
+def enumerate_set_compositions(s: Iterable[int]) -> Iterator[SetComposition]:
     """Yield every set composition of ``s`` once, in the canonical order.
 
     The order matches ``SetComposition.sort_key``: flattened block sequence
@@ -157,7 +155,7 @@ def enumerate_set_compositions(
     is the Fubini number of ``|s|``.
     """
     ground = check_ground_set(s)
-    check_size("set-composition ground-set size", len(ground), cap)
+    check_size("set-composition ground-set size", len(ground), ENUMERATION_CAP)
     n = len(ground)
     if n == 0:
         yield EMPTY

@@ -149,16 +149,13 @@ def solomon_compose(a: DescentElement, b: DescentElement) -> DescentElement:
     return DescentElement._make(_clean(acc))
 
 
-def descent_basis_expand(
-    c: Iterable[int], s: Iterable[int], max_terms: int = MAX_TERMS
-) -> TDElement:
+def descent_basis_expand(c: Iterable[int], s: Iterable[int]) -> TDElement:
     """The sum of all set compositions of ``s`` with block sizes ``c``."""
     c = check_composition(c)
     ground = check_ground_set(s)
     if sum(c) != len(ground):
         raise ValueError(f"composition {c} has weight {sum(c)}, set has size {len(ground)}")
-    if c:
-        check_size(f"type {c} expansion terms", multinomial(c), max_terms)
+    check_size(f"type {c} expansion terms", multinomial(c), MAX_TERMS)
     terms: dict[SetComposition, int] = {}
 
     def rec(blocks: tuple[frozenset[int], ...], left: frozenset[int], i: int):
@@ -173,10 +170,10 @@ def descent_basis_expand(
     return TDElement._make(terms)
 
 
-def orbit_sum(c: Iterable[int], max_terms: int = MAX_TERMS) -> TDElement:
+def orbit_sum(c: Iterable[int]) -> TDElement:
     """O_C: the type-C orbit sum over the ground set {1..n}, n = weight."""
     c = check_composition(c)
-    return descent_basis_expand(c, range(1, sum(c) + 1), max_terms)
+    return descent_basis_expand(c, range(1, sum(c) + 1))
 
 
 def descent_to_orbit(a: DescentElement) -> TDElement:

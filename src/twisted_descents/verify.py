@@ -378,27 +378,18 @@ def _by_left_support(dh) -> dict:
 
 def _matched_reciprocity(f, g, fg, h, piece) -> str | None:
     """(f ∗ g) ∘ h = m((f ⊗ g) ∘₂ δ(h)) on basis keys, given fg = f ∗ g and the
-    terms of δ(h) whose left leg has support supp f."""
-    lhs = compose_basis(fg, h) if fg is not None else None
+    terms of δ(h) whose left leg has support supp f.  Any other piece than the
+    one term of a sound δ is checked by ``_reciprocity`` on the whole δ(h)."""
     if len(piece) == 1:  # as for a basis h: the one term h|A ⊗ h|B
         [(l, r, c)] = piece
+        lhs = compose_basis(fg, h) if fg is not None else None
         fl, gr = compose_basis(f, l), compose_basis(g, r)
         key = conv_basis(fl, gr) if fl is not None and gr is not None else None
         # the sides agree as one key with coefficient 1, or as zero
         if (lhs, 1) != (key, c) and (lhs is not None or key is not None and c):
             return _show(f=f, g=g, h=h)
         return None
-    rhs: dict = {}
-    for l, r, c in piece:
-        fl = compose_basis(f, l)
-        gr = compose_basis(g, r)
-        if fl is None or gr is None:
-            continue
-        key = conv_basis(fl, gr)
-        if key is not None:
-            rhs[key] = rhs.get(key, 0) + c
-    if ({} if lhs is None else {lhs: 1}) != {k: c for k, c in rhs.items() if c}:
-        return _show(f=f, g=g, h=h)
+    return _reciprocity(f, g, h, coproduct(basis(h)), *_pair(f, g))
 
 
 def _pair(f, g) -> tuple:

@@ -58,7 +58,7 @@ def _subsets(universe):
 
 
 def _comps(sub):
-    return list(enumerate_set_compositions(sub, cap=max(len(sub), 1)))
+    return list(enumerate_set_compositions(sub))
 
 
 def test_criterion_01_composition_worked_example():

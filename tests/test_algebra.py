@@ -36,6 +36,10 @@ def sc(*blocks):
 def test_element_arithmetic():
     a = basis(sc({1}))
     b = basis(sc({2}))
+    # iteration and repr run in canonical order, whatever the insertion order
+    x = parse("[{1}|{2}] + 2*[{1,2}]")
+    assert list(x) == [(sc({1, 2}), 2), (sc({1}, {2}), 1)]
+    assert repr(x) == "<TDElement 2*[{1,2}] + 1*[{1}|{2}]>"
     assert a + b == b + a
     assert a - a == ZERO
     assert 2 * a + a == 3 * a
@@ -49,6 +53,9 @@ def test_element_arithmetic():
 def test_tensor_key_validation():
     pair = (sc({1}), sc({2}))
     assert TensorElement([(pair, 1), (pair, 2)]) == TensorElement({pair: 3})
+    t = TensorElement({pair: 1, (sc(), sc({1, 2})): -1})
+    assert list(t) == [((sc(), sc({1, 2})), -1), (pair, 1)]
+    assert repr(t) == "<TensorElement -1*[]⊗[{1,2}] + 1*[{1}]⊗[{2}]>"
     for key in (3, (sc({1}),), pair + (sc({3}),), list(pair), (sc({1}), 2)):
         with pytest.raises(ValueError):
             TensorElement([(key, 1)])
@@ -68,6 +75,7 @@ def test_convolution_is_bilinear():
         parse("[{1}|{3}] + [{2}|{3}]") - parse("[{1}|{4}]") - parse("[{2}|{4}]")
     )
     assert convolution(a, b) == expected
+    assert a * b == expected
 
 
 def test_composition_worked_examples():
@@ -78,6 +86,8 @@ def test_composition_worked_examples():
     got = composition_product(parse("[{1,3,5}|{2,4}]"), parse("[{3}|{4}|{5}|{2}|{1}]"))
     assert got == parse("[{3}|{5}|{1}|{4}|{2}]")
     assert composition_product(parse("[{1,2}]"), parse("[{3}]")) == ZERO
+    a, b = parse("[{1,2}] + [{2}|{1}]"), parse("[{1}|{2}] - [{1,2}]")
+    assert a @ b == composition_product(a, b) != ZERO
 
 
 def test_composition_unit_is_single_block():
@@ -204,6 +214,8 @@ def test_act_examples():
     assert act(parse("[{1,3}|{2}]"), (3, 1, 2)) == parse("[{1,2}|{3}]")
     with pytest.raises(ValueError):
         act(parse("[{1,3}]"), (2, 1))
+    with pytest.raises(ValueError, match=r"^permutation entry 1\.0 is not an integer$"):
+        act(basis([[1]]), [1.0])
 
 
 def test_act_is_a_right_action():

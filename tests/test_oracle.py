@@ -187,7 +187,9 @@ def test_endomorphism_equality():
 def test_endomorphism_tables():
     e = characteristic_endo({1}, (1,))
     assert e.table == {EMPTY: {}, word({1}): {word({1}): 1}}
-    table = represent(word({1}, {2}), (1, 2)).table
+    e12 = represent(word({1}, {2}), (1, 2))
+    assert repr(e12) == "<Endomorphism on 6 words over [1, 2]>"
+    table = e12.table
     assert table[word({2}, {1})] == {word({1}, {2}): 1}
     assert table[word({1, 2})] == {}
 

@@ -23,6 +23,11 @@ def test_check_permutation():
         check_permutation([1, 1])
     with pytest.raises(ValueError):
         check_permutation([0, 1])
+    # entries compare equal to 1..n but are not ints
+    with pytest.raises(ValueError, match=r"^permutation entry True is not an integer$"):
+        check_permutation((True,))
+    with pytest.raises(ValueError, match=r"^permutation entry 2\.0 is not an integer$"):
+        check_permutation((2.0, 1))
 
 
 def test_descent_set():

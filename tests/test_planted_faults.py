@@ -63,6 +63,39 @@ def test_reciprocity_sweep_catches_a_broken_coproduct_term(monkeypatch, left, mo
     assert f"h={render(basis(H))}" in result.detail
 
 
+def _second_term_on_left_1(h, terms):
+    """δ([{1}|{2}|{3}]) with a second term on the left support {1}."""
+    if h == SetComposition([[1], [2], [3]]):
+        return {**terms, (SetComposition([[1]]), SetComposition([[3], [2]])): 1}
+    return terms
+
+
+def _without_one_block_splits(h, terms):
+    """δ of a one-block h with its splits into two nonempty legs dropped."""
+    if len(h) == 1:
+        return {(l, r): c for (l, r), c in terms.items() if not (l and r)}
+    return terms
+
+
+# Each fault gives some δ(h) a piece of two terms, or of none, on a left
+# support, so the matched sweep checks that h through the whole δ(h).
+@pytest.mark.parametrize("fault, shown", [
+    (_second_term_on_left_1, "f=1*[{1}], g=1*[{2,3}], h=1*[{1}|{2}|{3}]"),
+    (_without_one_block_splits, "f=1*[{1}], g=1*[{2}], h=1*[{1,2}]"),
+], ids=["second-term", "no-one-block-splits"])
+def test_matched_reciprocity_checks_a_piece_of_other_than_one_term(monkeypatch, fault, shown):
+    real = verify.coproduct
+
+    def coproduct(x, *args, **kwargs):
+        [h] = x.terms
+        return TensorElement(fault(h, real(x, *args, **kwargs).terms))
+
+    monkeypatch.setattr(verify, "coproduct", coproduct)
+    results = verify.suite_reciprocity(verify.Config(max_n=3, trials=0))
+    result = next(r for r in results if r.law == "matched-support")
+    assert result.line() == f"FAIL [reciprocity] matched-support: {shown}"
+
+
 @pytest.mark.parametrize("mode", ["drop", "coefficient"])
 @pytest.mark.parametrize("left", LEFT_SUPPORTS, ids=lambda s: "A=" + "".join(map(str, sorted(s))))
 def test_coassociativity_catches_a_broken_coproduct_term(monkeypatch, left, mode):
