@@ -476,21 +476,24 @@ def tensor_convolution(x: TensorElement, y: TensorElement) -> TensorElement:
 def tensor_composition(x: TensorElement, y: TensorElement) -> TensorElement:
     """Componentwise composition product on both tensor legs.
 
-    ∘ annihilates distinct supports, so y is indexed by the supports of its
-    two legs and each term of x meets only the terms with the same pair.
+    ∘ annihilates distinct supports, so x is indexed by the supports of its
+    two legs and each term of y meets only the terms with the same pair.  In
+    the reciprocity law x is the one term f ⊗ g and y is all of δ(h), so the
+    index is one entry and y is read once.
     Raises SizeLimitError when those matched pairs exceed ``MAX_TERMS``.
     """
     by_supports: dict = {}
-    for (bl, br), cb in y.terms.items():
-        by_supports.setdefault((bl.support, br.support), []).append((bl, br, cb))
+    for (al, ar), ca in x.terms.items():
+        by_supports.setdefault((al.support, ar.support), []).append((al, ar, ca))
     matched = [
-        (al, ar, ca, by_supports.get((al.support, ar.support), ()))
-        for (al, ar), ca in x.terms.items()
+        (bl, br, cb, x_terms)
+        for (bl, br), cb in y.terms.items()
+        if (x_terms := by_supports.get((bl.support, br.support)))
     ]
     check_size("tensor composition term pairs", sum(len(m[3]) for m in matched), MAX_TERMS)
     acc: dict = {}
-    for al, ar, ca, y_terms in matched:
-        for bl, br, cb in y_terms:
+    for bl, br, cb, x_terms in matched:
+        for al, ar, ca in x_terms:
             key = (compose_basis(al, bl), compose_basis(ar, br))
             acc[key] = acc.get(key, 0) + ca * cb
     return TensorElement._make(_clean(acc))

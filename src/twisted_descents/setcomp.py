@@ -102,6 +102,8 @@ class SetComposition:
         return self._hash
 
     def __lt__(self, other: "SetComposition") -> bool:
+        if not isinstance(other, SetComposition):
+            return NotImplemented
         return self.sort_key < other.sort_key
 
     def __repr__(self) -> str:

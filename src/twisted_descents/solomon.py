@@ -190,12 +190,13 @@ def _to_orbit(a: DescentElement, orbit_of: Callable) -> TDElement:
     return TDElement._make(_clean(acc))
 
 
-def truncation_check(a: DescentElement, b: DescentElement) -> bool:
-    """Does Solomon's rule agree with composing the orbit-sum images?"""
-    return _truncation_holds(a, b, orbit_sum)
+def truncation_check(a: DescentElement, b: DescentElement, *, orbit_of=None) -> bool:
+    """Does Solomon's rule agree with composing the orbit-sum images?
 
-
-def _truncation_holds(a: DescentElement, b: DescentElement, orbit_of: Callable) -> bool:
+    ``orbit_of(c)``, when given, stands in for ``orbit_sum(c)``: a caller
+    that checks many pairs of one weight passes a table of its orbit sums.
+    """
+    orbit_of = orbit_of or orbit_sum
     lhs = _to_orbit(solomon_compose(a, b), orbit_of)
     return lhs == composition_product(_to_orbit(a, orbit_of), _to_orbit(b, orbit_of))
 
@@ -264,7 +265,9 @@ def fixed_space_check(n: int, cap: int = 5) -> bool:
     if any(act(x, s) != x for x in orbits.values() for s in perms):
         return False
     return all(
-        _truncation_holds(DescentElement({c1: 1}), DescentElement({c2: 1}), orbits.__getitem__)
+        truncation_check(
+            DescentElement({c1: 1}), DescentElement({c2: 1}), orbit_of=orbits.__getitem__
+        )
         for c1 in orbits
         for c2 in orbits
     )

@@ -14,8 +14,9 @@ sets the exit code.  Every law runs through one engine, ``_sweep``:
   line.  A law that checked no case at all is ``VACUOUS``: it does not hold.
 
 A kernel result that many cases share may sit in a table built during the
-sweep; no table outlives its suite call.  Kernels are looked up through this
-module's names when they run, so a fault planted there reaches every table.
+sweep; no table outlives its suite call, and a table feeds one side of a case
+only.  Kernels are looked up when they run, through this module's names and
+orbit sums through ``solomon``'s, so a fault planted there reaches every table.
 
 Sweep sizes follow the documented desk-scale defaults and scale with the
 configured caps.  All randomness flows through one seeded generator per
@@ -30,7 +31,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from . import oracle as orc
+from . import oracle as orc, solomon as sol
 from .algebra import (
     TDElement,
     TensorElement,
@@ -64,7 +65,6 @@ from .solomon import (
     DescentElement,
     descent_class,
     fixed_space_check,
-    orbit_sum,
     shuffle_test,
     solomon_compose,
     star,
@@ -376,14 +376,17 @@ def _by_left_support(dh) -> dict:
     return out
 
 
-def _matched_reciprocity(f, g, fg, h, piece) -> str | None:
+def _matched_reciprocity(f, g, fg, h, piece, f_row, g_row) -> str | None:
     """(f ∗ g) ∘ h = m((f ⊗ g) ∘₂ δ(h)) on basis keys, given fg = f ∗ g and the
-    terms of δ(h) whose left leg has support supp f.  Any other piece than the
-    one term of a sound δ is checked by ``_reciprocity`` on the whole δ(h)."""
+    terms of δ(h) whose left leg has support supp f.  A row, when given, maps
+    the blocks of each y on the support of f (of g) to f ∘ y (g ∘ y); without
+    one the kernel runs.  Any other piece than the one term of a sound δ is
+    checked by ``_reciprocity`` on the whole δ(h)."""
     if len(piece) == 1:  # as for a basis h: the one term h|A ⊗ h|B
         [(l, r, c)] = piece
         lhs = compose_basis(fg, h) if fg is not None else None
-        fl, gr = compose_basis(f, l), compose_basis(g, r)
+        fl = compose_basis(f, l) if f_row is None else f_row.get(l.sets)
+        gr = compose_basis(g, r) if g_row is None else g_row.get(r.sets)
         key = conv_basis(fl, gr) if fl is not None and gr is not None else None
         # the sides agree as one key with coefficient 1, or as zero
         if (lhs, 1) != (key, c) and (lhs is not None or key is not None and c):
@@ -419,7 +422,12 @@ def suite_reciprocity(cfg: Config) -> list[LawResult]:
     # survives (f ⊗ g) ∘₂ δ(h) only if supp l = supp f (∘ annihilates other
     # supports), so δ(h) is indexed by left-leg support and each triple sums
     # just the piece δ_{supp f, supp g}(h).  Every term of the real δ(h) still
-    # meets a triple: the sweep covers every split of supp h.
+    # meets a triple: the sweep covers every split of supp h.  A split with
+    # both parts nonempty reads each f ∘ l from a row of f, keyed by the
+    # blocks of l, and each g ∘ r likewise; a one-sided split reads each once.
+    def rows(comps):
+        return [{y.sets: compose_basis(x, y) for y in comps} for x in comps]
+
     def matched_triples():
         for sub in _subsets(ground):
             comps_c = _comps_of(sub)
@@ -428,10 +436,15 @@ def suite_reciprocity(cfg: Config) -> list[LawResult]:
                 sub_b = tuple(x for x in sub if x not in sub_a)
                 left = frozenset(sub_a)
                 graded = [(h, pieces[h].get(left, ())) for h in comps_c]
-                for f, g in itertools.product(_comps_of(sub_a), _comps_of(sub_b)):
+                comps_a, comps_b = _comps_of(sub_a), _comps_of(sub_b)
+                rows_a = rows_b = itertools.repeat(None)
+                if sub_a and sub_b:
+                    rows_a, rows_b = rows(comps_a), rows(comps_b)
+                pairs = itertools.product(zip(comps_a, rows_a), zip(comps_b, rows_b))
+                for (f, f_row), (g, g_row) in pairs:
                     fg = conv_basis(f, g)
                     for h, piece in graded:
-                        yield f, g, fg, h, piece
+                        yield f, g, fg, h, piece, f_row, g_row
 
     # exhaustive over everything (including all zero regimes) in a small universe
     def all_triples():
@@ -469,11 +482,10 @@ def suite_reciprocity(cfg: Config) -> list[LawResult]:
 # remarkable-identity suite
 
 
-def _matched_remarkable(f, g, fg, h, k) -> str | None:
+def _matched_remarkable(f, g, fg, h, k, hk) -> str | None:
     """(f ∘ g) ∗ (h ∘ k) = (f ∗ h) ∘ (g ∗ k) for supp f = supp g disjoint from
-    supp h = supp k, given fg = f ∘ g.  Both sides are then single nonzero
-    basis keys, so a zero side is a counterexample too."""
-    hk = compose_basis(h, k)
+    supp h = supp k, given fg = f ∘ g and hk = h ∘ k.  Both sides are then
+    single nonzero basis keys, so a zero side is a counterexample too."""
     lhs = conv_basis(fg, hk) if fg is not None and hk is not None else None
     fh = conv_basis(f, h)
     gk = conv_basis(g, k)
@@ -489,7 +501,7 @@ def _remarkable(f, g, h, k) -> str | None:
     hk = compose_basis(h, k)
     if fg is None or hk is None or conv_basis(fg, hk) is None:
         return None
-    return _matched_remarkable(f, g, fg, h, k)
+    return _matched_remarkable(f, g, fg, h, k, hk)
 
 
 def suite_remarkable(cfg: Config) -> list[LawResult]:
@@ -502,13 +514,18 @@ def suite_remarkable(cfg: Config) -> list[LawResult]:
     def draw():
         return random_set_composition(rng, ground)
 
+    # each h ∘ k is made once per split (A, B): a split with F(|A|) ≥ 2
+    # reads it F(|A|)² times from a list, any other split once as it is made
     def matched_quadruples():
         for sub_a, sub_b in _disjoint_pairs(ground):
-            comps_b = _comps_of(sub_b)
-            for f, g in itertools.product(_comps_of(sub_a), repeat=2):
+            comps_a, comps_b = _comps_of(sub_a), _comps_of(sub_b)
+            hks = ((h, k, compose_basis(h, k)) for h, k in itertools.product(comps_b, repeat=2))
+            if len(comps_a) > 1:
+                hks = list(hks)
+            for f, g in itertools.product(comps_a, repeat=2):
                 fg = compose_basis(f, g)
-                for h, k in itertools.product(comps_b, repeat=2):
-                    yield f, g, fg, h, k
+                for h, k, hk in hks:
+                    yield f, g, fg, h, k, hk
 
     return [
         _sweep("remarkable", "matched-support", matched_quadruples(), _matched_remarkable,
@@ -640,18 +657,22 @@ def suite_solomon(cfg: Config) -> list[LawResult]:
     unit_n = max(n, 6) if cfg.max_n is None else n
     assoc_n = min(n, 4)
 
+    # the pairs of compositions of each weight up to ``top``, with one table
+    # of that weight's orbit sums, built through solomon.orbit_sum as the
+    # sweep runs; Solomon's rule keeps the weight, so it covers every product
+    def orbit_pairs(top):
+        for m in range(1, top + 1):
+            comps_m = list(compositions(m))
+            orbits = {c: sol.orbit_sum(c) for c in comps_m}
+            yield from ((c1, c2, orbits) for c1, c2 in itertools.product(comps_m, repeat=2))
+
     # truncation: Solomon's rule matches the orbit-sum route
-    def truncates(c1, c2):
-        if not truncation_check(DescentElement({c1: 1}), DescentElement({c2: 1})):
+    def truncates(c1, c2, orbits):
+        a, b = DescentElement({c1: 1}), DescentElement({c2: 1})
+        if not truncation_check(a, b, orbit_of=orbits.__getitem__):
             return f"{c1} o {c2}"
 
     # orbit-sum structure constants: constant and nonnegative on each type
-    def orbit_pairs():
-        for m in range(1, orbit_n + 1):
-            comps_m = list(compositions(m))
-            orbits = {c: orbit_sum(c) for c in comps_m}
-            yield from ((c1, c2, orbits) for c1, c2 in itertools.product(comps_m, repeat=2))
-
     def structure_constants(c1, c2, orbits):
         by_type: dict = {}
         for sc, coeff in composition_product(orbits[c1], orbits[c2]).terms.items():
@@ -691,11 +712,9 @@ def suite_solomon(cfg: Config) -> list[LawResult]:
             return f"got {mism.terms}"
 
     return [
-        _sweep("solomon", "truncation",
-               (pair for m in range(1, n + 1)
-                for pair in itertools.product(compositions(m), repeat=2)),
-               truncates, lambda k: f"{k} basis pairs, weight <= {n}"),
-        _sweep("solomon", "orbit-structure-constants", orbit_pairs(), structure_constants,
+        _sweep("solomon", "truncation", orbit_pairs(n), truncates,
+               lambda k: f"{k} basis pairs, weight <= {n}"),
+        _sweep("solomon", "orbit-structure-constants", orbit_pairs(orbit_n), structure_constants,
                lambda k: f"{k} pairs, weight <= {orbit_n}"),
         _sweep("solomon", "unit", ((m, c) for m in range(1, unit_n + 1) for c in compositions(m)),
                unit, lambda _: f"1_n two-sided unit, n <= {unit_n}"),

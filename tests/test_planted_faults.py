@@ -11,6 +11,7 @@ written below.
 """
 
 import itertools
+import math
 import random
 from collections import Counter
 
@@ -94,6 +95,24 @@ def test_matched_reciprocity_checks_a_piece_of_other_than_one_term(monkeypatch, 
     results = verify.suite_reciprocity(verify.Config(max_n=3, trials=0))
     result = next(r for r in results if r.law == "matched-support")
     assert result.line() == f"FAIL [reciprocity] matched-support: {shown}"
+
+
+def test_matched_reciprocity_reads_a_broken_composition_from_a_row(monkeypatch):
+    # [{1,2}] ∘ [{2}|{1}] made wrong.  The left side meets it only when
+    # supp h = {1,2}, in a one-sided split, whose right side makes the same
+    # wrong product, so only a row of a split of {1,2,3} shows the fault.
+    real = verify.compose_basis
+    one, swapped = SetComposition([[1, 2]]), SetComposition([[2], [1]])
+
+    def compose_basis(a, b):
+        return SetComposition([[1], [2]]) if (a, b) == (one, swapped) else real(a, b)
+
+    monkeypatch.setattr(verify, "compose_basis", compose_basis)
+    results = verify.suite_reciprocity(verify.Config(max_n=3, trials=0))
+    result = next(r for r in results if r.law == "matched-support")
+    assert result.line() == (
+        "FAIL [reciprocity] matched-support: f=1*[{3}], g=1*[{1,2}], h=1*[{2}|{1,3}]"
+    )
 
 
 @pytest.mark.parametrize("mode", ["drop", "coefficient"])
@@ -195,6 +214,29 @@ def test_remarkable_sweep_fails_on_a_zero_matched_composition(monkeypatch):
     )
     assert not result.ok
     assert result.detail.startswith("f=") and ", k=" in result.detail
+
+
+def test_remarkable_sweep_reads_a_broken_composition_from_its_list(monkeypatch):
+    # [{3}] ∘ [{3}] is zero, but only in the splits (A, B) with |A| = 2, where
+    # the F(|A|)² = 9 pairs (f, g) read every h ∘ k from one list
+    real_pairs, real = verify._disjoint_pairs, verify.compose_basis
+    three, split = SetComposition([[3]]), []
+
+    def disjoint_pairs(ground):
+        for pair in real_pairs(ground):
+            split[:] = pair
+            yield pair
+
+    def compose_basis(a, b):
+        return None if len(split[0]) == 2 and a == b == three else real(a, b)
+
+    monkeypatch.setattr(verify, "_disjoint_pairs", disjoint_pairs)
+    monkeypatch.setattr(verify, "compose_basis", compose_basis)
+    result = next(r for r in verify.suite_remarkable(verify.Config(max_n=3, trials=0))
+                  if r.law == "matched-support")
+    assert result.line() == (
+        "FAIL [remarkable] matched-support: f=1*[{1,2}], g=1*[{1,2}], h=1*[{3}], k=1*[{3}]"
+    )
 
 
 def test_unshuffling_reports_a_zero_composition(monkeypatch):
@@ -341,6 +383,54 @@ def test_solomon_truncation_catches_a_broken_orbit_sum(monkeypatch):
                   if r.law == "truncation")
     assert not result.ok
     assert "(2, 1)" in result.detail
+
+
+def test_solomon_truncation_builds_each_orbit_sum_once(monkeypatch):
+    calls = _calls_during(monkeypatch, "orbit_sum", "truncation", module=solomon)
+    result = next(r for r in verify.suite_solomon(verify.Config(max_n=4))
+                  if r.law == "truncation")
+    assert result.ok
+    weights = [c for m in range(1, 5) for c in compositions(m)]
+    assert Counter(calls) == Counter((c,) for c in weights)
+    assert len(calls) == 15
+
+
+def _fubini(m):
+    """The number of set compositions of an m-set: F(m) = Σ_k C(m, k) F(m − k)."""
+    return 1 if m == 0 else sum(math.comb(m, k) * _fubini(m - k) for k in range(1, m + 1))
+
+
+def _splits(n):
+    """(|A|, |B|) for every pair of disjoint subsets A, B of [n]."""
+    for a in range(n + 1):
+        for b in range(n - a + 1):
+            yield from itertools.repeat((a, b), math.comb(n, a) * math.comb(n - a, b))
+
+
+def test_matched_reciprocity_reads_two_sided_splits_from_rows(monkeypatch):
+    # every case makes f ∗ g ∘ h; a one-sided split also makes f ∘ l and
+    # g ∘ r per case, a two-sided split one row entry per pair on A and on B
+    calls = _calls_during(monkeypatch, "compose_basis", "matched-support")
+    results = verify.suite_reciprocity(verify.Config(max_n=4, trials=0))
+    assert results[0].ok
+    want = 0
+    for a, b in _splits(4):  # A ⊔ B = supp h
+        fa, fb = _fubini(a), _fubini(b)
+        cases = fa * fb * _fubini(a + b)
+        want += cases + fa * fa + fb * fb if a and b else 3 * cases
+    assert len(calls) == want == 52711
+
+
+def test_matched_remarkable_makes_each_hk_once_per_split(monkeypatch):
+    # per split: f ∘ g per pair on A, h ∘ k per pair on B, and one right side per case
+    calls = _calls_during(monkeypatch, "compose_basis", "matched-support")
+    results = verify.suite_remarkable(verify.Config(max_n=4, trials=0))
+    assert results[0].ok
+    want = sum(
+        _fubini(a) ** 2 + _fubini(b) ** 2 + (_fubini(a) * _fubini(b)) ** 2
+        for a, b in _splits(4)
+    )
+    assert len(calls) == want == 29267
 
 
 def test_oracle_suite_represents_each_composition_once_per_call(monkeypatch):

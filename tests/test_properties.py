@@ -369,3 +369,12 @@ def test_tensor_composition_matches_all_pairs(x, y, z, w):
     t = tensor(z, w) + tensor(w, z)
     assert tensor_composition(t, dy).terms == tensor_all_pairs(t, dy)
     assert tensor_composition(t, t).terms == tensor_all_pairs(t, t)
+
+
+@common
+@given(f=set_comps(), g=set_comps(), y=mixed_support_elements(), c=st.integers(-3, 3))
+def test_tensor_composition_with_a_one_term_operand_matches_all_pairs(f, g, y, c):
+    # the reciprocity law's shape, c·(f ⊗ g) ∘₂ δ(y), and the reverse order
+    one, dy = c * tensor(basis(f), basis(g)), coproduct(y)
+    assert tensor_composition(one, dy).terms == tensor_all_pairs(one, dy)
+    assert tensor_composition(dy, one).terms == tensor_all_pairs(dy, one)

@@ -27,7 +27,9 @@ def test_readme_examples_pass():
     lambda: parse(5),
     lambda: basis(5),
     lambda: orbit_sum(5),
-], ids=["SetComposition", "TDElement", "DescentElement", "parse", "basis", "orbit_sum"])
+    lambda: SetComposition([[1]]) < 5,
+], ids=["SetComposition", "TDElement", "DescentElement", "parse", "basis", "orbit_sum",
+        "SetComposition-lt"])
 def test_an_argument_of_the_wrong_type_raises_type_error(probe):
     with pytest.raises(TypeError):
         probe()
