@@ -424,7 +424,7 @@ def suite_reciprocity(cfg: Config) -> list[LawResult]:
     # just the piece δ_{supp f, supp g}(h).  Every term of the real δ(h) still
     # meets a triple: the sweep covers every split of supp h.  A split with
     # both parts nonempty reads each f ∘ l from a row of f, keyed by the
-    # blocks of l, and each g ∘ r likewise; a one-sided split reads each once.
+    # blocks of l, and each g ∘ r likewise; no row outlives its split.
     def rows(comps):
         return [{y.sets: compose_basis(x, y) for y in comps} for x in comps]
 
@@ -440,8 +440,9 @@ def suite_reciprocity(cfg: Config) -> list[LawResult]:
                 rows_a = rows_b = itertools.repeat(None)
                 if sub_a and sub_b:
                     rows_a, rows_b = rows(comps_a), rows(comps_b)
-                pairs = itertools.product(zip(comps_a, rows_a), zip(comps_b, rows_b))
-                for (f, f_row), (g, g_row) in pairs:
+                for (f, f_row), (g, g_row) in itertools.product(
+                    zip(comps_a, rows_a), zip(comps_b, rows_b)
+                ):
                     fg = conv_basis(f, g)
                     for h, piece in graded:
                         yield f, g, fg, h, piece, f_row, g_row
