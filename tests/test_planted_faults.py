@@ -4,10 +4,13 @@ The reciprocity sweep reads only one support-graded piece of each δ(h), the
 oracle memoises word coproducts, Solomon's rule counts matrices through a
 merged-state DP, ∘ runs large support groups on block masks, the
 coassociativity law expands the legs of δ(x) from one table of δ, and other
-laws read repeated kernel results from tables built once per sweep.  Each
-test here either breaks an input on purpose and checks that the law notices,
-counts how often a law runs a kernel, or compares a kernel with a slow model
-written below.
+laws read repeated kernel results from tables built once per sweep.  The
+matched sweeps build theirs only in the splits that read them again: rows of
+f ∘ l and g ∘ r in a reciprocity split with both parts nonempty, one h ∘ k
+per remarkable split, and the truncation law's orbit sums once per weight.
+Each test here either breaks an input on purpose and checks that the law
+notices, counts how often a law runs a kernel, or compares a kernel with a
+slow model written below.
 """
 
 import itertools
