@@ -11,7 +11,7 @@ three pictures and the Young/shuffle factorization of permutations.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .algebra import (
     TDElement,
@@ -178,14 +178,14 @@ def orbit_sum(c: Iterable[int]) -> TDElement:
 
 def descent_to_orbit(a: DescentElement) -> TDElement:
     """The truncation embedding: each composition goes to its orbit sum."""
-    return _to_orbit(a, orbit_sum)
+    return _to_orbit(a, {})
 
 
-def _to_orbit(a: DescentElement, orbit_of: Callable) -> TDElement:
-    """``descent_to_orbit`` with ``orbit_of(c)`` as the orbit sum of ``c``."""
+def _to_orbit(a: DescentElement, orbits: dict) -> TDElement:
+    """``descent_to_orbit``, reading the orbit sum of ``c`` from ``orbits`` where it is."""
     acc: dict[SetComposition, int] = {}
     for c, coeff in a.terms.items():
-        for sc, x in orbit_of(c).terms.items():
+        for sc, x in (orbits[c] if c in orbits else orbit_sum(c)).terms.items():
             acc[sc] = acc.get(sc, 0) + coeff * x
     return TDElement._make(_clean(acc))
 
@@ -193,10 +193,12 @@ def _to_orbit(a: DescentElement, orbit_of: Callable) -> TDElement:
 def truncation_check(a: DescentElement, b: DescentElement, *, orbit_of=None) -> bool:
     """Does Solomon's rule agree with composing the orbit-sum images?
 
-    ``orbit_of(c)``, when given, stands in for ``orbit_sum(c)``: a caller
-    that checks many pairs of one weight passes a table of its orbit sums.
+    ``orbit_of``, when given, is a table ``{c: orbit_sum(c)}`` that a caller
+    checking many pairs of one weight builds once.  A composition missing
+    from it, such as a term of another weight from a faulty rule, gets
+    ``orbit_sum``.
     """
-    orbit_of = orbit_of or orbit_sum
+    orbit_of = orbit_of or {}
     lhs = _to_orbit(solomon_compose(a, b), orbit_of)
     return lhs == composition_product(_to_orbit(a, orbit_of), _to_orbit(b, orbit_of))
 
@@ -258,16 +260,14 @@ def fixed_space_check(n: int, cap: int = 5) -> bool:
     check_size("fixed-space check weight", n, cap)
     if n < 1:
         raise ValueError("weight must be positive")
-    # Every orbit sum is built once; Solomon's rule keeps the weight, so the
-    # table covers every composition the truncation pairs reach.
+    # Every orbit sum is built once; Solomon's rule keeps the weight, so only
+    # a faulty rule reaches a composition outside the table.
     orbits = {c: orbit_sum(c) for c in compositions(n)}
     perms = list(symmetric_group(n))
     if any(act(x, s) != x for x in orbits.values() for s in perms):
         return False
     return all(
-        truncation_check(
-            DescentElement({c1: 1}), DescentElement({c2: 1}), orbit_of=orbits.__getitem__
-        )
+        truncation_check(DescentElement({c1: 1}), DescentElement({c2: 1}), orbit_of=orbits)
         for c1 in orbits
         for c2 in orbits
     )

@@ -660,7 +660,8 @@ def suite_solomon(cfg: Config) -> list[LawResult]:
 
     # the pairs of compositions of each weight up to ``top``, with one table
     # of that weight's orbit sums, built through solomon.orbit_sum as the
-    # sweep runs; Solomon's rule keeps the weight, so it covers every product
+    # sweep runs; a product term of another weight, which only a faulty rule
+    # makes, gets truncation_check's own orbit_sum call
     def orbit_pairs(top):
         for m in range(1, top + 1):
             comps_m = list(compositions(m))
@@ -670,7 +671,7 @@ def suite_solomon(cfg: Config) -> list[LawResult]:
     # truncation: Solomon's rule matches the orbit-sum route
     def truncates(c1, c2, orbits):
         a, b = DescentElement({c1: 1}), DescentElement({c2: 1})
-        if not truncation_check(a, b, orbit_of=orbits.__getitem__):
+        if not truncation_check(a, b, orbit_of=orbits):
             return f"{c1} o {c2}"
 
     # orbit-sum structure constants: constant and nonnegative on each type

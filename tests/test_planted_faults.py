@@ -388,6 +388,34 @@ def test_solomon_truncation_catches_a_broken_orbit_sum(monkeypatch):
     assert "(2, 1)" in result.detail
 
 
+def _compose_into_another_weight(monkeypatch):
+    """Solomon's rule with a weight-4 term added to every product whose left factor is (2, 1)."""
+    real = solomon.solomon_compose
+
+    def solomon_compose(a, b):
+        out = real(a, b)
+        return out + DescentElement({(4,): 1}) if a.terms == {(2, 1): 1} else out
+
+    monkeypatch.setattr(solomon, "solomon_compose", solomon_compose)
+
+
+def test_solomon_truncation_reports_a_product_of_another_weight(monkeypatch):
+    # the stray term lies outside the weight-3 orbit-sum table; the law must
+    # still compare the two routes and name the pair
+    _compose_into_another_weight(monkeypatch)
+    result = next(r for r in verify.suite_solomon(verify.Config(max_n=3))
+                  if r.law == "truncation")
+    assert not result.ok
+    assert result.detail == "(2, 1) o (1, 1, 1)"
+
+
+def test_fixed_space_reports_a_product_of_another_weight(monkeypatch):
+    _compose_into_another_weight(monkeypatch)
+    [result] = verify.run_suite("fixed-space", verify.Config(max_n=3))
+    assert not result.ok
+    assert result.detail == "n=3"
+
+
 def test_solomon_truncation_builds_each_orbit_sum_once(monkeypatch):
     calls = _calls_during(monkeypatch, "orbit_sum", "truncation", module=solomon)
     result = next(r for r in verify.suite_solomon(verify.Config(max_n=4))

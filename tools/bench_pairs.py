@@ -3,11 +3,13 @@
 Each side runs from its own checkout of committed files, made here with
 ``git archive``.  Both checkouts start in the same bytecode-cache state, none:
 every ``__pycache__`` is removed and every run has PYTHONDONTWRITEBYTECODE=1,
-so each interpreter compiles the modules it imports.  Pair i runs seed
-``--first-seed + i``, parent first in even pairs and change first in odd ones.
+so each interpreter compiles the modules it imports.  The command, the
+workloads and the run length are those of ``BENCHMARK.json``.  There are 10
+pairs per workload; pair i runs seed ``--first-seed + i``, parent first in even
+pairs and change first in odd ones.
 
     python tools/bench_pairs.py --parent HEAD~1 --change HEAD \\
-        --workdir /tmp/pairs --pairs 10 --first-seed 1701 --out BENCH_17.json
+        --workdir /tmp/pairs --first-seed 1701 --out BENCH_17.json
 
 The output has the layout of the earlier ``BENCH_*.json`` records: per
 workload the seeds, per end-to-end metric of ``BENCHMARK.json`` the parent's
@@ -32,6 +34,7 @@ import tarfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+PAIRS = 10
 
 
 def checkout(ref: str, dest: Path) -> str:
@@ -47,15 +50,15 @@ def checkout(ref: str, dest: Path) -> str:
                           capture_output=True, text=True).stdout.strip()
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One ``perfbench/run.py`` run; its last stdout line, as JSON."""
+def run_once(tree: Path, bench: dict, workload: str, seed: int) -> dict:
+    """One run of the benchmark's command; its last stdout line, as JSON."""
     for cache in tree.rglob("__pycache__"):
         shutil.rmtree(cache)
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
     env.pop("PYTHONPATH", None)
     out = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+        [*bench["command"], "--workload", workload, "--seed", str(seed),
+         "--seconds", str(bench["run_seconds"]), "--trace", "0"],
         cwd=tree, env=env, check=True, capture_output=True, text=True,
     ).stdout
     return json.loads(out.strip().splitlines()[-1])
@@ -113,11 +116,7 @@ def main(argv=None) -> int:
     ap.add_argument("--parent", required=True, help="git ref of the parent")
     ap.add_argument("--change", required=True, help="git ref of the change")
     ap.add_argument("--workdir", required=True, type=Path, help="where the checkouts go")
-    ap.add_argument("--workloads", nargs="+",
-                    default=["verify-all", "dense-products", "text-sparse"])
-    ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--first-seed", type=int, required=True)
-    ap.add_argument("--seconds", type=float, default=30)
     ap.add_argument("--claim", help="WORKLOAD:METRIC the change claims to improve")
     ap.add_argument("--claim-text", default="none")
     ap.add_argument("--other-runs", default="")
@@ -127,11 +126,12 @@ def main(argv=None) -> int:
     trees = {"parent": args.workdir / "parent", "change": args.workdir / "change"}
     parent_hash = checkout(args.parent, trees["parent"])
     checkout(args.change, trees["change"])
-    metrics = json.loads((trees["change"] / "BENCHMARK.json").read_text())["end_to_end"]
-    seeds = list(range(args.first_seed, args.first_seed + args.pairs))
+    bench = json.loads((trees["change"] / "BENCHMARK.json").read_text())
+    metrics = bench["end_to_end"]
+    seeds = list(range(args.first_seed, args.first_seed + PAIRS))
     record = {
         "what": (
-            f"perfbench, --seconds {args.seconds:g} --trace 0, {args.pairs} alternating"
+            f"perfbench, --seconds {bench['run_seconds']:g} --trace 0, {PAIRS} alternating"
             f" parent/change pairs per workload on seeds {seeds[0]}-{seeds[-1]}; each side in"
             " its own checkout of the committed files. Both checkouts start in the same"
             " bytecode-cache state, none (PYTHONDONTWRITEBYTECODE=1 and no __pycache__ in"
@@ -146,11 +146,11 @@ def main(argv=None) -> int:
         "other_runs": args.other_runs,
         "workloads": {},
     }
-    for workload in args.workloads:
+    for workload in (w["name"] for w in bench["workloads"]):
         pairs = []
         for i, seed in enumerate(seeds):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-            runs = {side: run_once(trees[side], workload, seed, args.seconds) for side in order}
+            runs = {side: run_once(trees[side], bench, workload, seed) for side in order}
             pairs.append({
                 "seed": seed,
                 "first": order[0],
