@@ -33,16 +33,17 @@ def conv_basis(a: SetComposition, b: SetComposition) -> SetComposition | None:
 def compose_basis(a: SetComposition, b: SetComposition) -> SetComposition | None:
     """Intersection refinement (S_i ∩ T_j over (i, j) in row-major order).
 
-    None when the supports differ; empty intersections are dropped.
+    None when the supports differ; empty intersections are dropped.  A cut
+    equal to a block of ``a`` or ``b`` is that block's own frozenset, so
+    only a partial overlap allocates a new one.
     """
     if a.support != b.support:
         return None
     sets = []
     for s in a.sets:
         for t in b.sets:
-            cut = s & t
-            if cut:
-                sets.append(cut)
+            if not s.isdisjoint(t):
+                sets.append(t if t <= s else s if s <= t else s & t)
     return SetComposition._make(tuple(sets), a.support)
 
 

@@ -154,7 +154,8 @@ def enumerate_set_compositions(s: Iterable[int]) -> Iterator[SetComposition]:
 
     The order matches ``SetComposition.sort_key``: flattened block sequence
     first (lexicographically), block boundaries second.  The number of results
-    is the Fubini number of ``|s|``.
+    is the Fubini number of ``|s|``.  Equal blocks of the results are one
+    frozenset object, shared within the call.
     """
     ground = check_ground_set(s)
     check_size("set-composition ground-set size", len(ground), ENUMERATION_CAP)
@@ -162,6 +163,7 @@ def enumerate_set_compositions(s: Iterable[int]) -> Iterator[SetComposition]:
     if n == 0:
         yield EMPTY
         return
+    shared: dict[tuple[int, ...], frozenset[int]] = {}
     for word in itertools.permutations(sorted(ground)):
         # A boundary set cuts the word into blocks; every descent of the word
         # must be a boundary so that blocks stay ascending.
@@ -174,10 +176,11 @@ def enumerate_set_compositions(s: Iterable[int]) -> Iterator[SetComposition]:
         cuts_list.sort()
         for cuts in cuts_list:
             edges = (0,) + cuts + (n,)
-            sets = tuple(
-                frozenset(word[edges[i] : edges[i + 1]]) for i in range(len(edges) - 1)
-            )
-            yield SetComposition._make(sets, ground)
+            sets = []
+            for a, b in zip(edges, edges[1:]):
+                labels = word[a:b]  # nonempty, so a stored block is truthy
+                sets.append(shared.get(labels) or shared.setdefault(labels, frozenset(labels)))
+            yield SetComposition._make(tuple(sets), ground)
 
 
 def count_set_compositions(n: int) -> int:

@@ -150,20 +150,24 @@ def solomon_compose(a: DescentElement, b: DescentElement) -> DescentElement:
 
 
 def descent_basis_expand(c: Iterable[int], s: Iterable[int]) -> TDElement:
-    """The sum of all set compositions of ``s`` with block sizes ``c``."""
+    """The sum of all set compositions of ``s`` with block sizes ``c``.
+
+    Equal blocks of the terms are one frozenset object, shared within the call.
+    """
     c = check_composition(c)
     ground = check_ground_set(s)
     if sum(c) != len(ground):
         raise ValueError(f"composition {c} has weight {sum(c)}, set has size {len(ground)}")
     check_size(f"type {c} expansion terms", multinomial(c), MAX_TERMS)
     terms: dict[SetComposition, int] = {}
+    shared: dict[tuple[int, ...], frozenset[int]] = {}
 
     def rec(blocks: tuple[frozenset[int], ...], left: frozenset[int], i: int):
         if i == len(c):
             terms[SetComposition._make(blocks, ground)] = 1
             return
         for chosen in itertools.combinations(sorted(left), c[i]):
-            fs = frozenset(chosen)
+            fs = shared.get(chosen) or shared.setdefault(chosen, frozenset(chosen))
             rec(blocks + (fs,), left - fs, i + 1)
 
     rec((), ground, 0)

@@ -265,6 +265,29 @@ def test_kernels_match_public_ops():
     assert compose_basis(a, sc({1, 2})) is None
 
 
+def test_compose_basis_matches_blockwise_intersection_on_every_pair_of_words_of_4():
+    # left and right words come from two enumerations, so no block object of
+    # a is one of b; a result block equal to an operand block must be it
+    def words():
+        return [w for r in range(5) for sub in itertools.combinations(range(1, 5), r)
+                for w in enumerate_set_compositions(sub)]
+
+    lefts, rights = words(), words()
+    assert len(lefts) == 150
+    for a, b in itertools.product(lefts, rights):
+        got = compose_basis(a, b)
+        if a.support != b.support:
+            assert got is None
+            continue
+        want = [s & t for s in a.sets for t in b.sets if s & t]
+        assert got.sets == tuple(want) and got.support == a.support
+        assert got == SetComposition(want)
+        operands = a.sets + b.sets
+        for block in got.sets:
+            if block in operands:
+                assert any(block is op for op in operands), (a, b, block)
+
+
 
 def test_mask_path_cancels_mixed_signs_like_the_all_pairs_loop():
     # E = Σ_F (-1)^(ℓ(F)-1)·(6/ℓ(F))·1_F over the set compositions F of

@@ -491,3 +491,67 @@ def test_convolution_agreement_reads_a_broken_represent_from_its_memo(monkeypatc
     result = next(r for r in verify.suite_oracle(verify.Config(max_support=3))
                   if r.law == "convolution-agreement")
     assert result.line() == "FAIL [oracle] convolution-agreement: a=1*[{1}], b=1*[{2}]"
+
+
+# Kill matrix for compose_basis: each mutant breaks one branch of the cut,
+# and the laws that must report it are listed by suite and law.
+def _plant_compose_basis(monkeypatch, cut):
+    def compose_basis(a, b):
+        if a.support != b.support:
+            return None
+        sets = [cut(s, t) for s in a.sets for t in b.sets if not s.isdisjoint(t)]
+        return SetComposition._make(tuple(sets), a.support)
+
+    for module in (algebra, solomon, verify):
+        monkeypatch.setattr(module, "compose_basis", compose_basis)
+
+
+def _larger_block_on_subset(s, t):
+    return s if t <= s or s <= t else s & t
+
+
+def _t_on_partial_overlap(s, t):
+    return t if t <= s else s if s <= t else t
+
+
+def _s_on_partial_overlap(s, t):
+    return t if t <= s else s
+
+
+PARTIAL_OVERLAP_KILLERS = {
+    "assoc-comp/associativity", "bialgebra/compose-law", "reciprocity/matched-support",
+    "reciprocity/all-triples-small", "reciprocity/random-triples",
+    "oracle/composition-agreement", "solomon/truncation",
+    "solomon/orbit-structure-constants", "fixed-space/invariant-subalgebra",
+}
+
+
+@pytest.mark.parametrize("cut, killers", [
+    (_larger_block_on_subset, PARTIAL_OVERLAP_KILLERS | {
+        "assoc-comp/degreewise-unit", "assoc-comp/unshuffling",
+        "shuffles/descent-duality", "shuffles/young-factorization",
+    }),
+    (_t_on_partial_overlap, PARTIAL_OVERLAP_KILLERS),
+    (_s_on_partial_overlap, PARTIAL_OVERLAP_KILLERS),
+], ids=["larger-block-on-subset", "t-on-partial-overlap", "s-on-partial-overlap"])
+def test_compose_basis_mutant_is_killed(monkeypatch, cut, killers):
+    _plant_compose_basis(monkeypatch, cut)
+    results = verify.run_suite("all", verify.Config(max_n=3, max_support=3, seed=0))
+    failed = {f"{r.suite}/{r.law}" for r in results if not r.ok and not r.vacuous}
+    assert failed == killers
+
+
+def test_composition_laws_report_a_result_that_is_no_composition(monkeypatch):
+    # [{1,2}] ∘ [{1}|{2}] becomes [{1,2}|{1,2}]: no word table holds it, and
+    # the Young chamber of (1, 2) at the identity repeats the block {2,3}
+    _plant_compose_basis(monkeypatch, _larger_block_on_subset)
+    cfg = verify.Config(max_n=3, max_support=3)
+    agreement = next(r for r in verify.suite_oracle(cfg) if r.law == "composition-agreement")
+    assert agreement.line() == (
+        "FAIL [oracle] composition-agreement: a=1*[{1,2}], b=1*[{1}|{2}]"
+    )
+    young = next(r for r in verify.suite_shuffles(cfg) if r.law == "young-factorization")
+    assert young.line() == (
+        "FAIL [shuffles] young-factorization: type (1, 2), sigma=(1, 2, 3):"
+        " SetComposition[{1}|{2,3}|{2,3}] is not a chamber"
+    )

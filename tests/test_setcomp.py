@@ -74,6 +74,19 @@ def test_enumeration_is_in_canonical_order():
         assert listed == sorted(reversed(listed))  # < compares sort keys
 
 
+def test_enumeration_shares_equal_blocks_within_a_call():
+    listed = list(enumerate_set_compositions(range(1, 5)))
+    assert len(listed) == 75
+    shared: dict = {}
+    for sc in listed:
+        for block in sc.sets:
+            assert shared.setdefault(block, block) is block
+    assert len(shared) == 15  # the nonempty subsets of [4]
+    # no table outlives the call
+    again = next(enumerate_set_compositions(range(1, 5)))
+    assert again == listed[0] and again.sets[0] is not listed[0].sets[0]
+
+
 def test_enumeration_cap():
     with pytest.raises(SizeLimitError) as err:
         list(enumerate_set_compositions(range(1, 12)))

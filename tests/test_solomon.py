@@ -123,6 +123,18 @@ def test_solomon_structure_constants_are_nonnegative():
                 assert product.weight == n
 
 
+def test_orbit_sum_shares_equal_blocks_within_a_call():
+    terms = list(orbit_sum((2, 1, 1)).terms)
+    assert len(terms) == multinomial((2, 1, 1)) == 12
+    shared: dict = {}
+    for sc in terms:
+        for block in sc.sets:
+            assert shared.setdefault(block, block) is block
+    assert len(shared) == 10  # six pairs and four singletons of [4]
+    again = next(iter(orbit_sum((2, 1, 1)).terms))
+    assert again == terms[0] and again.sets[0] is not terms[0].sets[0]
+
+
 def test_orbit_sum_examples():
     assert orbit_sum((1, 1)) == parse("[{1}|{2}] + [{2}|{1}]")
     assert orbit_sum((2,)) == parse("[{1,2}]")
