@@ -279,9 +279,8 @@ def test_compose_basis_matches_blockwise_intersection_on_every_pair_of_words_of_
         if a.support != b.support:
             assert got is None
             continue
-        want = [s & t for s in a.sets for t in b.sets if s & t]
-        assert got.sets == tuple(want) and got.support == a.support
-        assert got == SetComposition(want)
+        want = SetComposition([s & t for s in a.sets for t in b.sets if s & t])
+        assert got.sets == want.sets and got.support == want.support
         operands = a.sets + b.sets
         for block in got.sets:
             if block in operands:

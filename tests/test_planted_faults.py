@@ -10,7 +10,8 @@ f ∘ l and g ∘ r in a reciprocity split with both parts nonempty, one h ∘ k
 per remarkable split, and the truncation law's orbit sums once per weight.
 Each test here either breaks an input on purpose and checks that the law
 notices, counts how often a law runs a kernel, or compares a kernel with a
-slow model written below.
+slow model written below.  The kill-matrix rows plant a faulty kernel and
+pin the laws of ``verify all`` that report it.
 """
 
 import itertools
