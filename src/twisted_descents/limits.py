@@ -4,8 +4,7 @@ A caller can move only these caps: ``max_terms`` (default ``MAX_TERMS``) of
 ``convolution``, ``composition_product`` and ``coproduct``, set by the CLI's
 ``--max-terms`` and ``TDA_MAX_TERMS``; ``cap`` of ``oracle.all_words``
 (default ``ORACLE_SUPPORT_CAP``), set by ``verify --max-support``; and ``cap``
-of ``solomon.descent_class`` (default ``DESCENT_CLASS_CAP``) and
-``solomon.fixed_space_check`` (default 5), set by ``verify --max-n``.
+of ``solomon.fixed_space_check`` (default 5), set by ``verify --max-n``.
 """
 
 # Largest ground-set label accepted anywhere.
@@ -17,9 +16,6 @@ ENUMERATION_CAP = 10
 
 # Refuse coproducts (and basis expansions) producing more terms than this.
 MAX_TERMS = 2**24
-
-# Largest symmetric group whose descent classes we enumerate by default.
-DESCENT_CLASS_CAP = 8
 
 # Largest universe for brute-force endomorphism tables.
 ORACLE_SUPPORT_CAP = 4

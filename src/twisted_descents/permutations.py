@@ -57,14 +57,19 @@ def symmetric_group(n: int) -> Iterator[tuple[int, ...]]:
 def descent_class(parts: Iterable[int]) -> Iterator[tuple[int, ...]]:
     """Permutations whose descent set is contained in the partial sums of ``parts``.
 
-    These are the permutations increasing within each consecutive interval of
-    sizes n1, n2, ....  Yields in lexicographic order.
+    Built directly as the words sorted(S1) + ... + sorted(Sk) over the set compositions
+    of [n] of that type, each block chosen from the labels left: lexicographic order.
     """
     c = check_composition(parts)
-    allowed = frozenset(itertools.accumulate(c[:-1]))
-    for p in symmetric_group(sum(c)):
-        if descent_set(p) <= allowed:
-            yield p
+
+    def build(word: tuple[int, ...], left: tuple[int, ...], i: int) -> Iterator[tuple[int, ...]]:
+        if i >= len(c) - 1:  # the last block is the labels that remain
+            yield word + left
+            return
+        for block in itertools.combinations(left, c[i]):
+            yield from build(word + block, tuple([x for x in left if x not in block]), i + 1)
+
+    yield from build((), identity(sum(c)), 0)
 
 
 def shuffles(parts: Iterable[int]) -> Iterator[tuple[int, ...]]:

@@ -237,7 +237,7 @@ def as_increasing_partition(parts) -> tuple[frozenset[int], ...]:
     parts = tuple(parts)
     if all(isinstance(p, int) and not isinstance(p, bool) for p in parts):
         return interval_partition(parts)
-    out = tuple(frozenset(p) for p in parts)
+    out = tuple(map(check_ground_set, parts))
     n = sum(len(p) for p in out)
     if not is_increasing_partition(out, n):
         raise ValueError(f"{parts!r} is not an increasing partition of [{n}]")

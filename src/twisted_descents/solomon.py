@@ -23,7 +23,7 @@ from .algebra import (
     composition_product,
     permutation_basis,
 )
-from .limits import DESCENT_CLASS_CAP, MAX_TERMS, check_size
+from .limits import MAX_TERMS, check_size
 from .permutations import (
     check_permutation,
     compose,
@@ -207,11 +207,10 @@ def truncation_check(a: DescentElement, b: DescentElement, *, orbit_of=None) -> 
     return lhs == composition_product(_to_orbit(a, orbit_of), _to_orbit(b, orbit_of))
 
 
-def descent_class(c: Iterable[int], cap: int = DESCENT_CLASS_CAP) -> GroupAlgebraElement:
+def descent_class(c: Iterable[int]) -> GroupAlgebraElement:
     """D_C: the sum of permutations with descent set inside C's partial sums."""
     c = check_composition(c)
-    n = sum(c)
-    check_size("descent class weight", n, cap)
+    check_size(f"type {c} descent class terms", multinomial(c), MAX_TERMS)
     return GroupAlgebraElement._make({p: 1 for p in _descent_class_perms(c)})
 
 

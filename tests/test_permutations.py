@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from twisted_descents import permutations
 from twisted_descents.permutations import (
     check_permutation,
     compose,
@@ -95,17 +96,30 @@ def test_young_subgroup():
     assert list(young_subgroup((1, 1, 1))) == [(1, 2, 3)]
 
 
-@pytest.mark.parametrize("n", range(6))
-def test_young_subgroup_and_descent_class_filter_the_symmetric_group(n):
+def _no_pass_over_the_group(n):
+    raise AssertionError(f"a pass over S_{n}")
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_young_subgroup_and_descent_class_filter_the_symmetric_group(monkeypatch, n):
+    group = list(symmetric_group(n))
+    # both are built without a pass over S_n
+    monkeypatch.setattr(permutations, "symmetric_group", _no_pass_over_the_group)
     for c in compositions(n):
         cuts = set(itertools.accumulate(c[:-1]))
         # 0-based positions of each consecutive interval of sizes c
         blocks = [range(s - p, s) for s, p in zip(itertools.accumulate(c), c)]
-        young = [p for p in symmetric_group(n)
+        young = [p for p in group
                  if all({p[i] for i in b} == {i + 1 for i in b} for b in blocks)]
-        descents = [p for p in symmetric_group(n) if descent_set(p) <= cuts]
+        descents = [p for p in group if descent_set(p) <= cuts]
         assert list(young_subgroup(c)) == young
         assert list(descent_class(c)) == descents
+
+
+def test_descent_class_is_lazy():
+    # all 12! permutations are members; the first three come without building the rest
+    first = list(itertools.islice(descent_class((1,) * 12), 3))
+    assert first == [identity(12), (*range(1, 11), 12, 11), (*range(1, 10), 11, 10, 12)]
 
 
 @pytest.mark.parametrize("bad", [(0,), (2, -1), (True, 1)])

@@ -21,7 +21,7 @@ from collections import Counter
 
 import pytest
 
-from twisted_descents import algebra, oracle, solomon, verify
+from twisted_descents import algebra, oracle, permutations, solomon, verify
 from twisted_descents.algebra import TensorElement, basis
 from twisted_descents.oracle import (
     all_words,
@@ -494,6 +494,12 @@ def test_convolution_agreement_reads_a_broken_represent_from_its_memo(monkeypatc
     assert result.line() == "FAIL [oracle] convolution-agreement: a=1*[{1}], b=1*[{2}]"
 
 
+def _killing_laws():
+    """The laws of ``verify all`` at n, support <= 3 that fail on a case."""
+    results = verify.run_suite("all", verify.Config(max_n=3, max_support=3, seed=0))
+    return {f"{r.suite}/{r.law}" for r in results if not r.ok and not r.vacuous}
+
+
 # Kill matrix for compose_basis: each mutant breaks one branch of the cut,
 # and the laws that must report it are listed by suite and law.
 def _plant_compose_basis(monkeypatch, cut):
@@ -537,9 +543,27 @@ PARTIAL_OVERLAP_KILLERS = {
 ], ids=["larger-block-on-subset", "t-on-partial-overlap", "s-on-partial-overlap"])
 def test_compose_basis_mutant_is_killed(monkeypatch, cut, killers):
     _plant_compose_basis(monkeypatch, cut)
-    results = verify.run_suite("all", verify.Config(max_n=3, max_support=3, seed=0))
-    failed = {f"{r.suite}/{r.law}" for r in results if not r.ok and not r.vacuous}
-    assert failed == killers
+    assert _killing_laws() == killers
+
+
+# Kill-matrix rows for the descent classes, planted through the name solomon calls.
+def _drop_last_member(c):
+    members = list(permutations.descent_class(c))
+    return members[:-1] if len(members) >= 2 else members
+
+
+def _blocks_last_first(c):
+    cuts = [0, *itertools.accumulate(c)]
+    spans = list(zip(cuts, cuts[1:]))[::-1]
+    for p in permutations.descent_class(c):
+        yield tuple(x for a, b in spans for x in p[a:b])
+
+
+@pytest.mark.parametrize("build", [_drop_last_member, _blocks_last_first],
+                         ids=["drop-last-member", "blocks-last-first"])
+def test_descent_class_mutant_is_killed(monkeypatch, build):
+    monkeypatch.setattr(solomon, "_descent_class_perms", build)
+    assert _killing_laws() == {"shuffles/descent-duality"}
 
 
 def test_composition_laws_report_a_result_that_is_no_composition(monkeypatch):

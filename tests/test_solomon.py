@@ -5,15 +5,21 @@ import pytest
 
 from twisted_descents import solomon
 from twisted_descents.algebra import TDElement, basis, composition_product
-from twisted_descents.limits import SizeLimitError
+from twisted_descents.limits import MAX_TERMS, SizeLimitError
 from twisted_descents.permutations import (
     compose,
     descent_set,
+    identity,
     inverse,
     shuffles,
     young_subgroup,
 )
-from twisted_descents.setcomp import SetComposition, compositions, multinomial
+from twisted_descents.setcomp import (
+    SetComposition,
+    as_increasing_partition,
+    compositions,
+    multinomial,
+)
 from twisted_descents.solomon import (
     DescentElement,
     GroupAlgebraElement,
@@ -171,9 +177,22 @@ def test_descent_class_members():
     for p in d.terms:
         assert descent_set(p) <= {2}
     assert len(descent_class((1, 1, 1)).terms) == 6
-    with pytest.raises(SizeLimitError) as err:
-        descent_class((5, 5))
-    assert (err.value.cap, err.value.requested) == (8, 10)
+    assert len(descent_class((5, 5)).terms) == multinomial((5, 5)) == 252
+
+
+def _no_member_built(c):
+    raise AssertionError(f"a member of D_{c} was built")
+
+
+def test_descent_class_is_capped_by_its_size_like_an_orbit_sum(monkeypatch):
+    assert descent_class((12,)) == GroupAlgebraElement({identity(12): 1})
+    monkeypatch.setattr(solomon, "_descent_class_perms", _no_member_built)
+    # one rule for both families of type c: at most MAX_TERMS members
+    for c, requested in [((1,) * 11, 39916800), ((1,) * 9 + (2,), 19958400)]:
+        for family in (descent_class, orbit_sum):
+            with pytest.raises(SizeLimitError) as err:
+                family(c)
+            assert (err.value.cap, err.value.requested) == (MAX_TERMS, requested)
 
 
 def test_descent_classes_span_solomon_algebra():
@@ -217,6 +236,16 @@ def test_shuffle_test_examples():
         shuffle_test((2, 1), (1, 2))
     with pytest.raises(ValueError):
         shuffle_test(({1, 3}, {2}), (1, 2, 3))  # not an increasing partition
+
+
+def test_explicit_blocks_take_only_integer_labels():
+    # each block is read as a ground set, as SetComposition reads it
+    with pytest.raises(ValueError, match=r"^ground-set label True is not an integer$"):
+        as_increasing_partition(({True, 2},))
+    with pytest.raises(ValueError, match=r"^ground-set label 2\.0 is not an integer$"):
+        as_increasing_partition(({1}, {2.0}))
+    with pytest.raises(ValueError, match=r"^ground-set label '[ab]' is not an integer$"):
+        shuffle_test(("ab",), (1, 2))
 
 
 def test_shuffle_test_matches_enumeration():
