@@ -62,7 +62,7 @@ def descent_class(parts: Iterable[int]) -> Iterator[tuple[int, ...]]:
     """
     c = check_composition(parts)
 
-    def build(word: tuple[int, ...], left: tuple[int, ...], i: int) -> Iterator[tuple[int, ...]]:
+    def build(word: tuple[int, ...], left: tuple[int, ...], i: int):
         if i >= len(c) - 1:  # the last block is the labels that remain
             yield word + left
             return
