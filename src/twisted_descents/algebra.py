@@ -35,7 +35,9 @@ def compose_basis(a: SetComposition, b: SetComposition) -> SetComposition | None
 
     None when the supports differ; empty intersections are dropped.  A cut
     equal to a block of ``a`` or ``b`` is that block's own frozenset, so
-    only a partial overlap allocates a new one.
+    only a partial overlap allocates a new one.  Once S_i lies in some T_j,
+    no later block of ``b`` meets it.  A result equal to ``a`` (every S_i in
+    one T_j) or to ``b`` is that operand itself, not a copy.
     """
     if a.support != b.support:
         return None
@@ -43,8 +45,16 @@ def compose_basis(a: SetComposition, b: SetComposition) -> SetComposition | None
     for s in a.sets:
         for t in b.sets:
             if not s.isdisjoint(t):
-                sets.append(t if t <= s else s if s <= t else s & t)
-    return SetComposition._make(tuple(sets), a.support)
+                if s <= t:
+                    sets.append(s)
+                    break
+                sets.append(t if t <= s else s & t)
+    sets = tuple(sets)
+    if sets == a.sets:
+        return a
+    if sets == b.sets:
+        return b
+    return SetComposition._make(sets, a.support)
 
 
 def _clean(terms: dict) -> dict:
@@ -480,7 +490,8 @@ def tensor_composition(x: TensorElement, y: TensorElement) -> TensorElement:
     ∘ annihilates distinct supports, so x is indexed by the supports of its
     two legs and each term of y meets only the terms with the same pair.  In
     the reciprocity law x is the one term f ⊗ g and y is all of δ(h), so the
-    index is one entry and y is read once.
+    index is one entry and y is read once; when no term of y matches, as in
+    most triples of a small reciprocity sweep, the empty result returns at once.
     Raises SizeLimitError when those matched pairs exceed ``MAX_TERMS``.
     """
     by_supports: dict = {}
@@ -491,6 +502,8 @@ def tensor_composition(x: TensorElement, y: TensorElement) -> TensorElement:
         for (bl, br), cb in y.terms.items()
         if (x_terms := by_supports.get((bl.support, br.support)))
     ]
+    if not matched:
+        return TensorElement._make({})
     check_size("tensor composition term pairs", sum(len(m[3]) for m in matched), MAX_TERMS)
     acc: dict = {}
     for bl, br, cb, x_terms in matched:

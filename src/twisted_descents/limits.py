@@ -5,6 +5,9 @@ A caller can move only these caps: ``max_terms`` (default ``MAX_TERMS``) of
 ``--max-terms`` and ``TDA_MAX_TERMS``; ``cap`` of ``oracle.all_words``
 (default ``ORACLE_SUPPORT_CAP``), set by ``verify --max-support``; and ``cap``
 of ``solomon.fixed_space_check`` (default 5), set by ``verify --max-n``.
+``VERIFY_CASE_CAP`` bounds what a verify law may plan before its first
+case: ``verify dims`` refuses more set compositions than it, summed over
+the weights it would enumerate.
 """
 
 # Largest ground-set label accepted anywhere.
@@ -19,6 +22,9 @@ MAX_TERMS = 2**24
 
 # Largest universe for brute-force endomorphism tables.
 ORACLE_SUPPORT_CAP = 4
+
+# Most cases a verify law may plan.  The default sweeps stay under 1.6e6.
+VERIFY_CASE_CAP = 10**7
 
 
 class SizeLimitError(Exception):

@@ -51,6 +51,7 @@ from .algebra import (
     tensor_composition,
     tensor_convolution,
 )
+from .limits import VERIFY_CASE_CAP, check_size
 from .permutations import compose, symmetric_group, young_subgroup
 from .setcomp import (
     SetComposition,
@@ -186,7 +187,9 @@ def _random_comp_of_word(rng: random.Random, word: Iterable[int]) -> SetComposit
             blocks[-1].append(x)
         else:
             blocks.append([x])
-    return SetComposition(blocks)
+    # the labels come from the sweep's own ground sets, so they need no check
+    sets = tuple([frozenset(b) for b in blocks])
+    return SetComposition._make(sets, frozenset().union(*sets))
 
 
 def random_set_composition(rng: random.Random, universe: tuple[int, ...]) -> SetComposition:
@@ -864,6 +867,8 @@ def suite_fixed_space(cfg: Config) -> list[LawResult]:
 
 def suite_dims(cfg: Config) -> list[LawResult]:
     n = cfg.n(5)
+    planned = sum(count_set_compositions(m) for m in range(n + 1))
+    check_size("verify dims set compositions", planned, VERIFY_CASE_CAP)
 
     def fubini(m):
         enumerated = sum(1 for _ in enumerate_set_compositions(_ground(m)))

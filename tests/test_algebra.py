@@ -185,6 +185,7 @@ def test_tensor_composition_examples():
     assert tensor_composition(t, t) == t
     mismatched = tensor(parse("[{2}]"), parse("[{1}]"))
     assert tensor_composition(t, mismatched) == TensorElement({})
+    assert tensor_composition(t, mismatched + t) == t  # a miss before a match
     a, b = parse("[{1}|{2}]"), parse("[{2}|{1}]")
     lhs = tensor_composition(coproduct(a), coproduct(b))
     assert lhs == coproduct(composition_product(a, b))
@@ -263,6 +264,11 @@ def test_kernels_match_public_ops():
     assert conv_basis(a, b) is None
     assert compose_basis(a, b) == sc({5}, {3}, {1, 4})
     assert compose_basis(a, sc({1, 2})) is None
+    # a result equal to an operand is that operand
+    whole, cham = sc({1, 3, 4, 5}), chamber((4, 1, 5, 3))
+    assert compose_basis(cham, a) is cham
+    assert compose_basis(a, whole) is a and compose_basis(b, whole) is b
+    assert compose_basis(whole, a) is a and compose_basis(whole, cham) is cham
 
 
 def test_compose_basis_matches_blockwise_intersection_on_every_pair_of_words_of_4():
@@ -281,6 +287,9 @@ def test_compose_basis_matches_blockwise_intersection_on_every_pair_of_words_of_
             continue
         want = SetComposition([s & t for s in a.sets for t in b.sets if s & t])
         assert got.sets == want.sets and got.support == want.support
+        # every block of a gives at least one cut, so a result as long as a is a
+        assert (got is a) == (len(got) == len(a))
+        assert got is a or (got is b) == (got == b)
         operands = a.sets + b.sets
         for block in got.sets:
             if block in operands:

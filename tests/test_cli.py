@@ -343,6 +343,9 @@ def test_verify_respects_caps(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "dims", "--max-n", "3")
     assert code == EXIT_OK
     assert "1 1 3 13" in out
+    code, out, err = run(capsys, "verify", "dims", "--max-n", "10")
+    assert (code, out) == (EXIT_CAP, "")
+    assert err == "size limit: verify dims set compositions: 109933269 requested, cap 10000000\n"
     monkeypatch.setenv("TDA_MAX_N", "2")
     code, out, _ = run(capsys, "verify", "dims", "--seed", "-3")
     assert (code, out.splitlines()[0]) == (EXIT_OK, "PASS [dims] fubini: 1 1 3")

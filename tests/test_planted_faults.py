@@ -500,6 +500,13 @@ def _killing_laws():
     return {f"{r.suite}/{r.law}" for r in results if not r.ok and not r.vacuous}
 
 
+def _plant(monkeypatch, name, kernel):
+    """Plant ``kernel`` under ``name`` in every module that calls it by that name."""
+    for module in (algebra, solomon, verify):
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, kernel)
+
+
 # Kill matrix for compose_basis: each mutant breaks one branch of the cut,
 # and the laws that must report it are listed by suite and law.
 def _plant_compose_basis(monkeypatch, cut):
@@ -509,8 +516,7 @@ def _plant_compose_basis(monkeypatch, cut):
         sets = [cut(s, t) for s in a.sets for t in b.sets if not s.isdisjoint(t)]
         return SetComposition._make(tuple(sets), a.support)
 
-    for module in (algebra, solomon, verify):
-        monkeypatch.setattr(module, "compose_basis", compose_basis)
+    _plant(monkeypatch, "compose_basis", compose_basis)
 
 
 def _larger_block_on_subset(s, t):
@@ -543,6 +549,58 @@ PARTIAL_OVERLAP_KILLERS = {
 ], ids=["larger-block-on-subset", "t-on-partial-overlap", "s-on-partial-overlap"])
 def test_compose_basis_mutant_is_killed(monkeypatch, cut, killers):
     _plant_compose_basis(monkeypatch, cut)
+    assert _killing_laws() == killers
+
+
+# Kill-matrix rows for the shortcuts of compose_basis and tensor_composition:
+# each mutant takes a shortcut where the kernel may not.  Returning a whenever
+# the cut count equals len(a.sets) is no mutant: every block of a gives at
+# least one cut, and exactly one only when it lies in a block of b.
+def _break_after_any_overlap(a, b):
+    if a.support != b.support:
+        return None
+    sets = []
+    for s in a.sets:
+        for t in b.sets:
+            if not s.isdisjoint(t):
+                sets.append(t if t <= s else s if s <= t else s & t)
+                break
+    return SetComposition._make(tuple(sets), a.support)
+
+
+def _b_on_its_cut_count(a, b, real=algebra.compose_basis):
+    out = real(a, b)
+    return b if out is not None and len(out.sets) == len(b.sets) else out
+
+
+def _empty_when_first_term_misses(x, y, real=algebra.tensor_composition):
+    supports = {(l.support, r.support) for l, r in x.terms}
+    first = next(iter(y.terms), None)
+    if first is not None and (first[0].support, first[1].support) not in supports:
+        return TensorElement({})
+    return real(x, y)
+
+
+@pytest.mark.parametrize("name, kernel, killers", [
+    ("compose_basis", _break_after_any_overlap, {
+        "assoc-comp/associativity", "assoc-comp/degreewise-unit", "assoc-comp/unshuffling",
+        "bialgebra/compose-law", "oracle/composition-agreement", "solomon/truncation",
+        "solomon/orbit-structure-constants", "shuffles/descent-duality",
+        "shuffles/young-factorization", "fixed-space/invariant-subalgebra",
+    }),
+    ("compose_basis", _b_on_its_cut_count, {
+        "assoc-comp/associativity", "assoc-comp/chamber-absorption", "assoc-comp/unshuffling",
+        "bialgebra/compose-law", "reciprocity/matched-support",
+        "reciprocity/all-triples-small", "reciprocity/random-triples",
+        "oracle/composition-agreement", "solomon/truncation", "shuffles/descent-duality",
+        "shuffles/young-factorization", "fixed-space/invariant-subalgebra",
+    }),
+    ("tensor_composition", _empty_when_first_term_misses, {
+        "reciprocity/all-triples-small", "reciprocity/random-triples",
+    }),
+], ids=["break-after-any-overlap", "b-on-its-cut-count", "empty-when-first-term-misses"])
+def test_kernel_shortcut_mutant_is_killed(monkeypatch, name, kernel, killers):
+    _plant(monkeypatch, name, kernel)
     assert _killing_laws() == killers
 
 

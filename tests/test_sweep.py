@@ -1,5 +1,12 @@
 """The sweep engine behind every ``verify`` law."""
 
+import random
+
+import pytest
+
+from twisted_descents import verify
+from twisted_descents.limits import VERIFY_CASE_CAP, SizeLimitError
+from twisted_descents.setcomp import SetComposition
 from twisted_descents.verify import Config, _single, _sweep, _trial, run_suite
 
 
@@ -50,3 +57,37 @@ def test_zero_trials_leave_the_random_associativity_laws_vacuous():
         "VACUOUS [assoc-conv] unit: no case checked ([] is a two-sided unit (0 trials))",
         "VACUOUS [assoc-comp] associativity: no case checked (0 random triples, support <= 0)",
     ]
+
+
+def test_random_draws_match_validated_blocks_drawn_from_the_same_seed():
+    universe = (1, 2, 3, 4)
+    rng, want = random.Random(5), []
+    for _ in range(900):
+        word = rng.sample(universe, rng.randint(0, len(universe)))
+        blocks = []
+        for x in word:
+            if blocks and rng.random() < 0.5:
+                blocks[-1].append(x)
+            else:
+                blocks.append([x])
+        want.append(SetComposition(blocks))
+    rng = random.Random(5)
+    got = [verify.random_set_composition(rng, universe) for _ in range(900)]
+    assert got == want
+    for sc in got:
+        again = SetComposition(sc.blocks)
+        assert again == sc and again.support == sc.support
+
+
+def test_dims_refuses_its_planned_set_compositions_before_enumerating(monkeypatch):
+    def enumerate_set_compositions(s):
+        raise AssertionError("enumerated")
+
+    monkeypatch.setattr(verify, "enumerate_set_compositions", enumerate_set_compositions)
+    with pytest.raises(SizeLimitError) as err:
+        run_suite("dims", Config(max_n=10))
+    assert (err.value.cap, err.value.requested) == (VERIFY_CASE_CAP, 109_933_269)
+    assert str(err.value) == "verify dims set compositions: 109933269 requested, cap 10000000"
+    # Σ_{m<=9} F(m) = 7,685,706 is under the cap, so --max-n 9 starts enumerating
+    with pytest.raises(AssertionError, match="enumerated"):
+        run_suite("dims", Config(max_n=9))
