@@ -9,13 +9,15 @@ Implements the three fundamental operations on the span of set compositions:
   square.
 
 Elements are immutable sparse maps with arbitrary-precision integer
-coefficients; all functions are pure.
+coefficients: ``terms`` is a read-only view, and the kernels here read the
+private dict behind it.  All functions are pure.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from operator import itemgetter, lshift, or_
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
 from .limits import MAX_TERMS, check_size
@@ -24,9 +26,16 @@ from .setcomp import EMPTY, SetComposition, canonical_key, check_ground_set
 
 
 def conv_basis(a: SetComposition, b: SetComposition) -> SetComposition | None:
-    """Concatenate two basis indices; None when their supports overlap."""
+    """Concatenate two basis indices; None when their supports overlap.
+
+    Beside the empty composition the result is the other operand itself, not a copy.
+    """
     if a.support & b.support:
         return None
+    if not a.sets:
+        return b
+    if not b.sets:
+        return a
     return SetComposition._make(a.sets + b.sets, a.support | b.support)
 
 
@@ -80,9 +89,12 @@ class _Ascending(dict):
 
 
 class _Linear:
-    """Shared arithmetic for sparse integer combinations; subclasses define ``_check_key``."""
+    """Shared arithmetic for sparse integer combinations; subclasses define ``_check_key``.
 
-    __slots__ = ("terms",)
+    ``terms`` is a read-only view of a private dict that never changes once made.
+    """
+
+    __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping | Iterable = ()):
         acc: dict = {}
@@ -92,37 +104,42 @@ class _Linear:
                 raise ValueError(f"coefficient {coeff!r} is not an integer")
             key = self._check_key(key)
             acc[key] = acc.get(key, 0) + coeff
-        self.terms = _clean(acc)
+        self._terms = _clean(acc)
 
     @classmethod
     def _make(cls, terms: dict):
         self = cls.__new__(cls)
-        self.terms = terms
+        self._terms = terms
         return self
 
+    @property
+    def terms(self) -> Mapping:
+        """The nonzero coefficients by key, as a read-only mapping."""
+        return MappingProxyType(self._terms)
+
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._terms)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, int) and other == 0:
-            return not self.terms
+            return not self._terms
         if not isinstance(other, type(self)):
             return NotImplemented
-        return self.terms == other.terms
+        return self._terms == other._terms
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash(frozenset(self._terms.items()))
 
     def __add__(self, other):
         if not isinstance(other, type(self)):
             return NotImplemented
-        acc = dict(self.terms)
-        for key, coeff in other.terms.items():
+        acc = dict(self._terms)
+        for key, coeff in other._terms.items():
             acc[key] = acc.get(key, 0) + coeff
         return type(self)._make(_clean(acc))
 
     def __neg__(self):
-        return type(self)._make({k: -c for k, c in self.terms.items()})
+        return type(self)._make({k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, type(self)):
@@ -134,13 +151,13 @@ class _Linear:
             return NotImplemented
         if scalar == 0:
             return type(self)._make({})
-        return type(self)._make({k: scalar * c for k, c in self.terms.items()})
+        return type(self)._make({k: scalar * c for k, c in self._terms.items()})
 
     def coefficient(self, key) -> int:
-        return self.terms.get(key, 0)
+        return self._terms.get(key, 0)
 
     def __len__(self) -> int:
-        return len(self.terms)
+        return len(self._terms)
 
 
 class TDElement(_Linear):
@@ -158,7 +175,7 @@ class TDElement(_Linear):
         """``(sort key, composition, ascending blocks, coefficient)`` per term, sorted."""
         ascending = _Ascending().__getitem__
         rows = []
-        for sc, c in self.terms.items():
+        for sc, c in self._terms.items():
             blocks = tuple(map(ascending, sc.sets))
             rows.append((canonical_key(len(sc.support), blocks), sc, blocks, c))
         rows.sort(key=itemgetter(0))
@@ -186,7 +203,7 @@ class TDElement(_Linear):
 class TensorElement(_Linear):
     """An integer combination of tensor pairs of set compositions."""
 
-    __slots__ = ()
+    __slots__ = ("_by_supports",)  # set by tensor_composition on first use as its right operand
 
     @staticmethod
     def _check_key(key):
@@ -201,7 +218,7 @@ class TensorElement(_Linear):
         """``(sort key, pair, (left blocks, right blocks), coefficient)`` per term, sorted."""
         ascending = _Ascending().__getitem__
         rows = []
-        for pair, c in self.terms.items():
+        for pair, c in self._terms.items():
             l, r = pair
             lb, rb = tuple(map(ascending, l.sets)), tuple(map(ascending, r.sets))
             key = (canonical_key(len(l.support), lb), canonical_key(len(r.support), rb))
@@ -214,7 +231,7 @@ class TensorElement(_Linear):
 
     def swap(self) -> "TensorElement":
         """Exchange the tensor legs."""
-        return TensorElement._make({(r, l): c for (l, r), c in self.terms.items()})
+        return TensorElement._make({(r, l): c for (l, r), c in self._terms.items()})
 
     def __repr__(self) -> str:
         from .textio import render_tensor
@@ -260,11 +277,11 @@ def convolution(x: TDElement, y: TDElement, max_terms: int = MAX_TERMS) -> TDEle
 
     Raises SizeLimitError when |x|·|y| term pairs exceed ``max_terms``.
     """
-    check_size("convolution term pairs", len(x.terms) * len(y.terms), max_terms)
+    check_size("convolution term pairs", len(x._terms) * len(y._terms), max_terms)
     acc: dict = {}
-    for a, ca in x.terms.items():
+    for a, ca in x._terms.items():
         support = a.support
-        for b, cb in y.terms.items():
+        for b, cb in y._terms.items():
             if support.isdisjoint(b.support):  # skips the call for pairs conv_basis drops
                 key = conv_basis(a, b)
                 acc[key] = acc.get(key, 0) + ca * cb
@@ -382,20 +399,20 @@ def composition_product(x: TDElement, y: TDElement, max_terms: int = MAX_TERMS) 
     share one accumulator, in the order of the all-pairs loop.
     Raises SizeLimitError when |x|·|y| term pairs exceed ``max_terms``.
     """
-    pairs = len(x.terms) * len(y.terms)
+    pairs = len(x._terms) * len(y._terms)
     check_size("composition product term pairs", pairs, max_terms)
     groups: dict = {}  # support -> [(b, cb), ...] in term order
-    for b, cb in y.terms.items():
+    for b, cb in y._terms.items():
         groups.setdefault(b.support, []).append((b, cb))
     index = None
     if pairs >= _MASK_PAIRS:
-        x_sizes = Counter(a.support for a in x.terms)
+        x_sizes = Counter(a.support for a in x._terms)
         for s, terms in groups.items():
             if x_sizes[s] * len(terms) >= _MASK_PAIRS:
                 index = index or _BitIndex()
                 groups[s] = _MaskGroup(index, s, terms)
     acc: dict = {}
-    for a, ca in x.terms.items():
+    for a, ca in x._terms.items():
         group = groups.get(a.support)
         if group is None:
             continue
@@ -431,14 +448,14 @@ def coproduct(x: TDElement, max_terms: int = MAX_TERMS) -> TensorElement:
     is the left leg of family N-1-i: only left legs are built.  Keys on
     distinct supports never meet, so a new support's keys go in at once.
     """
-    check_size("coproduct terms", sum(1 << len(sc.support) for sc in x.terms), max_terms)
+    check_size("coproduct terms", sum(1 << len(sc.support) for sc in x._terms), max_terms)
     index = _BitIndex()
     sets = index.sets
     make = SetComposition._make
     acc: dict = {}
     seen: set = set()  # supports of the terms so far
     repeated = False
-    for sc, coeff in x.terms.items():
+    for sc, coeff in x._terms.items():
         legs = [((), 0)]  # (left blocks, left support mask)
         for block in sc.sets:
             m = index.mask(block)
@@ -469,10 +486,10 @@ def tensor_convolution(x: TensorElement, y: TensorElement) -> TensorElement:
 
     Raises SizeLimitError when |x|·|y| term pairs exceed ``MAX_TERMS``.
     """
-    check_size("tensor convolution term pairs", len(x.terms) * len(y.terms), MAX_TERMS)
+    check_size("tensor convolution term pairs", len(x._terms) * len(y._terms), MAX_TERMS)
     acc: dict = {}
-    for (al, ar), ca in x.terms.items():
-        for (bl, br), cb in y.terms.items():
+    for (al, ar), ca in x._terms.items():
+        for (bl, br), cb in y._terms.items():
             left = conv_basis(al, bl)
             if left is None:
                 continue
@@ -484,39 +501,57 @@ def tensor_convolution(x: TensorElement, y: TensorElement) -> TensorElement:
     return TensorElement._make(_clean(acc))
 
 
+def _leg_support_groups(y: TensorElement) -> dict:
+    """``(supp l, supp r) -> [(l, r, c), ...]`` over the terms c·(l ⊗ r) of y, in term order."""
+    groups: dict = {}
+    for (l, r), c in y._terms.items():
+        groups.setdefault((l.support, r.support), []).append((l, r, c))
+    return groups
+
+
 def tensor_composition(x: TensorElement, y: TensorElement) -> TensorElement:
     """Componentwise composition product on both tensor legs.
 
-    ∘ annihilates distinct supports, so x is indexed by the supports of its
-    two legs and each term of y meets only the terms with the same pair.  In
-    the reciprocity law x is the one term f ⊗ g and y is all of δ(h), so the
-    index is one entry and y is read once; when no term of y matches, as in
-    most triples of a small reciprocity sweep, the empty result returns at once.
+    ∘ annihilates distinct supports, so each term of x meets only the terms
+    of y with the same pair of leg supports.  y is indexed by those pairs the
+    first time it is a right operand; the index lives on y, as long as y, and
+    is only read from then on.  In the reciprocity law x is the one term
+    f ⊗ g and y is δ(h), which a sweep reuses for many f ⊗ g, so one lookup
+    finds the at most one matching term; when none matches, as in most
+    triples of a small reciprocity sweep, the empty result returns at once.
+    Results go in by term of x, then by term of y.
     Raises SizeLimitError when those matched pairs exceed ``MAX_TERMS``.
     """
-    by_supports: dict = {}
-    for (al, ar), ca in x.terms.items():
-        by_supports.setdefault((al.support, ar.support), []).append((al, ar, ca))
+    try:
+        by_supports = y._by_supports
+    except AttributeError:
+        by_supports = y._by_supports = _leg_support_groups(y)
     matched = [
-        (bl, br, cb, x_terms)
-        for (bl, br), cb in y.terms.items()
-        if (x_terms := by_supports.get((bl.support, br.support)))
+        (al, ar, ca, y_terms)
+        for (al, ar), ca in x._terms.items()
+        if (y_terms := by_supports.get((al.support, ar.support)))
     ]
     if not matched:
         return TensorElement._make({})
     check_size("tensor composition term pairs", sum(len(m[3]) for m in matched), MAX_TERMS)
     acc: dict = {}
-    for bl, br, cb, x_terms in matched:
-        for al, ar, ca in x_terms:
+    for al, ar, ca, y_terms in matched:
+        for bl, br, cb in y_terms:
             key = (compose_basis(al, bl), compose_basis(ar, br))
             acc[key] = acc.get(key, 0) + ca * cb
     return TensorElement._make(_clean(acc))
 
 
 def multiply_tensor_legs(x: TensorElement) -> TDElement:
-    """Collapse a ⊗ b to the convolution a ∗ b, linearly."""
+    """Collapse a ⊗ b to the convolution a ∗ b, linearly.
+
+    An empty x, such as most ∘₂ results of a small reciprocity sweep, gives
+    an empty element at once.
+    """
+    if not x._terms:
+        return TDElement._make({})
     acc: dict = {}
-    for (left, right), coeff in x.terms.items():
+    for (left, right), coeff in x._terms.items():
         key = conv_basis(left, right)
         if key is not None:
             acc[key] = acc.get(key, 0) + coeff
@@ -526,8 +561,8 @@ def multiply_tensor_legs(x: TensorElement) -> TDElement:
 def tensor(x: TDElement, y: TDElement) -> TensorElement:
     """The outer product x ⊗ y."""
     acc = {}
-    for a, ca in x.terms.items():
-        for b, cb in y.terms.items():
+    for a, ca in x._terms.items():
+        for b, cb in y._terms.items():
             acc[(a, b)] = ca * cb
     return TensorElement._make(acc)
 
@@ -543,7 +578,7 @@ def act(x: TDElement, p: Iterable[int]) -> TDElement:
     n = len(p)
     inv = inverse(p)
     acc: dict = {}
-    for sc, coeff in x.terms.items():
+    for sc, coeff in x._terms.items():
         if any(v > n for v in sc.support):
             raise ValueError(
                 f"support {sorted(sc.support)} not contained in 1..{n}"

@@ -55,19 +55,19 @@ class _Graded(_Linear):
 
     def __init__(self, terms: Mapping | Iterable = ()):
         super().__init__(terms)
-        grades = set(map(self._grade, self.terms))
+        grades = set(map(self._grade, self._terms))
         if len(grades) > 1:
             raise ValueError(f"mixed {self._grades} {sorted(grades)} in one element")
 
     def _grade_of(self) -> int | None:
         """The common grade of the terms; None for the zero element."""
-        for key in self.terms:
+        for key in self._terms:
             return self._grade(key)
         return None
 
     def __iter__(self) -> Iterator[tuple[tuple[int, ...], int]]:
-        for key in sorted(self.terms):
-            yield key, self.terms[key]
+        for key in sorted(self._terms):
+            yield key, self._terms[key]
 
     def __repr__(self) -> str:
         body = _join_terms([(c, render_composition(k)) for k, c in self])
@@ -139,8 +139,8 @@ def solomon_compose(a: DescentElement, b: DescentElement) -> DescentElement:
     different weights contribute nothing.
     """
     acc: dict[tuple[int, ...], int] = {}
-    for c1, x1 in a.terms.items():
-        for c2, x2 in b.terms.items():
+    for c1, x1 in a._terms.items():
+        for c2, x2 in b._terms.items():
             if sum(c1) != sum(c2):
                 continue
             coeff = x1 * x2
@@ -188,8 +188,8 @@ def descent_to_orbit(a: DescentElement) -> TDElement:
 def _to_orbit(a: DescentElement, orbits: dict) -> TDElement:
     """``descent_to_orbit``, reading the orbit sum of ``c`` from ``orbits`` where it is."""
     acc: dict[SetComposition, int] = {}
-    for c, coeff in a.terms.items():
-        for sc, x in (orbits[c] if c in orbits else orbit_sum(c)).terms.items():
+    for c, coeff in a._terms.items():
+        for sc, x in (orbits[c] if c in orbits else orbit_sum(c))._terms.items():
             acc[sc] = acc.get(sc, 0) + coeff * x
     return TDElement._make(_clean(acc))
 
@@ -216,7 +216,7 @@ def descent_class(c: Iterable[int]) -> GroupAlgebraElement:
 
 def star(x: GroupAlgebraElement) -> GroupAlgebraElement:
     """Replace every permutation by its inverse."""
-    return GroupAlgebraElement._make({inverse(p): c for p, c in x.terms.items()})
+    return GroupAlgebraElement._make({inverse(p): c for p, c in x._terms.items()})
 
 
 def _cut_chamber(parts, p: Iterable[int]) -> tuple[SetComposition, tuple[int, ...]]:

@@ -716,7 +716,7 @@ def suite_solomon(cfg: Config) -> list[LawResult]:
     def mismatch():
         mism = solomon_compose(DescentElement({(2,): 1}), DescentElement({(3,): 1}))
         if mism.terms:
-            return f"got {mism.terms}"
+            return f"got {dict(mism.terms)}"
 
     return [
         _sweep("solomon", "truncation", orbit_pairs(n), truncates,
@@ -865,10 +865,17 @@ def suite_fixed_space(cfg: Config) -> list[LawResult]:
     ]
 
 
-def suite_dims(cfg: Config) -> list[LawResult]:
+def _dims_n(cfg: Config) -> int:
+    """The dims suite's n, once the set compositions it would enumerate are
+    found within ``VERIFY_CASE_CAP``; raises SizeLimitError otherwise."""
     n = cfg.n(5)
     planned = sum(count_set_compositions(m) for m in range(n + 1))
     check_size("verify dims set compositions", planned, VERIFY_CASE_CAP)
+    return n
+
+
+def suite_dims(cfg: Config) -> list[LawResult]:
+    n = _dims_n(cfg)
 
     def fubini(m):
         enumerated = sum(1 for _ in enumerate_set_compositions(_ground(m)))
@@ -904,6 +911,7 @@ SUITES: dict[str, Callable[[Config], list[LawResult]]] = {
 
 def run_suite(name: str, cfg: Config) -> list[LawResult]:
     if name == "all":
+        _dims_n(cfg)  # refuse an oversized dims plan before any suite runs
         results = []
         for key in SUITES:
             results.extend(SUITES[key](cfg))

@@ -25,7 +25,8 @@ from twisted_descents.algebra import (
 )
 from twisted_descents.limits import MAX_TERMS, SizeLimitError
 from twisted_descents.permutations import symmetric_group
-from twisted_descents.setcomp import SetComposition, enumerate_set_compositions
+from twisted_descents.setcomp import EMPTY, SetComposition, enumerate_set_compositions
+from twisted_descents.solomon import DescentElement
 from twisted_descents.textio import parse
 
 
@@ -192,7 +193,51 @@ def test_tensor_composition_examples():
     assert composition_product(a, b) == a
 
 
+def test_tensor_composition_with_a_one_term_left_operand_keeps_the_right_term_order():
+    # results go in by term of the right operand, as far as they match f ⊗ g
+    one = tensor(parse("[{1,2}]"), parse("[{3}]"))
+    y = TensorElement({
+        (sc({2}, {1}), sc({3})): 1,
+        (sc({3}), sc({1, 2})): 5,
+        (sc({1}, {2}), sc({3})): 2,
+        (sc({1, 2}), sc({3})): 3,
+    })
+    assert list(tensor_composition(one, y).terms.items()) == [
+        ((sc({2}, {1}), sc({3})), 1),
+        ((sc({1}, {2}), sc({3})), 2),
+        ((sc({1, 2}), sc({3})), 3),
+    ]
+
+
+def _assert_read_only(x, key):
+    before = hash(x)
+    with pytest.raises(TypeError):
+        x.terms[key] = 0
+    with pytest.raises(TypeError):
+        del x.terms[key]
+    with pytest.raises(AttributeError):
+        x.terms = {}
+    assert x == x and hash(x) == before
+    assert type(x)(x.terms) == x
+
+
+def test_terms_is_a_read_only_view():
+    x = parse("[{1}] + [{2}]")
+    _assert_read_only(x, sc({1}))
+    assert x == parse("[{2}] + [{1}]")
+    _assert_read_only(DescentElement({(1, 2): 1, (3,): -2}), (3,))
+
+
+def test_an_indexed_right_operand_of_tensor_composition_stays_read_only():
+    d = coproduct(parse("[{1,2}|{3}]"))
+    t = tensor(parse("[{1}]"), parse("[{2}|{3}]"))
+    assert tensor_composition(t, d) == t  # d is now indexed by its leg supports
+    _assert_read_only(d, (sc({1}), sc({2}, {3})))
+    assert tensor_composition(t, d) == t
+
+
 def test_multiply_tensor_legs():
+    assert multiply_tensor_legs(TensorElement({})) == ZERO
     assert multiply_tensor_legs(tensor(parse("[{1}]"), parse("[{2}]"))) == parse("[{1}|{2}]")
     overlap = tensor(parse("[{1,2}]"), parse("[{1,2}]"))
     assert multiply_tensor_legs(overlap) == ZERO
@@ -269,6 +314,10 @@ def test_kernels_match_public_ops():
     assert compose_basis(cham, a) is cham
     assert compose_basis(a, whole) is a and compose_basis(b, whole) is b
     assert compose_basis(whole, a) is a and compose_basis(whole, cham) is cham
+    # beside the empty composition, ∗ gives the other operand itself
+    assert conv_basis(a, EMPTY) is a and conv_basis(EMPTY, b) is b
+    assert conv_basis(EMPTY, EMPTY) is EMPTY
+    assert conv_basis(a, sc({5})) is None and conv_basis(sc({1}, {2}), a) is None
 
 
 def test_compose_basis_matches_blockwise_intersection_on_every_pair_of_words_of_4():

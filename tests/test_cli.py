@@ -354,6 +354,19 @@ def test_verify_respects_caps(capsys, monkeypatch):
     assert code == EXIT_USAGE and "TDA_MAX_N='-1' is not a count" in err
 
 
+def test_verify_all_refuses_the_dims_plan_before_any_suite_runs(capsys, monkeypatch):
+    from twisted_descents import verify
+
+    def never(cfg):
+        raise AssertionError("a suite ran before the dims plan was checked")
+
+    for name in verify.SUITES:
+        monkeypatch.setitem(verify.SUITES, name, never)
+    code, out, err = run(capsys, "verify", "all", "--max-n", "10")
+    assert (code, out) == (EXIT_CAP, "")
+    assert err == "size limit: verify dims set compositions: 109933269 requested, cap 10000000\n"
+
+
 def test_verify_json(capsys):
     code, out, _ = run(capsys, "verify", "dims", "--format", "json")
     assert code == EXIT_OK

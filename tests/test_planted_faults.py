@@ -22,7 +22,7 @@ from collections import Counter
 import pytest
 
 from twisted_descents import algebra, oracle, permutations, solomon, verify
-from twisted_descents.algebra import TensorElement, basis
+from twisted_descents.algebra import TDElement, TensorElement, basis
 from twisted_descents.oracle import (
     all_words,
     b_coproduct,
@@ -602,6 +602,59 @@ def _empty_when_first_term_misses(x, y, real=algebra.tensor_composition):
 def test_kernel_shortcut_mutant_is_killed(monkeypatch, name, kernel, killers):
     _plant(monkeypatch, name, kernel)
     assert _killing_laws() == killers
+
+
+# Kill-matrix rows for the shortcuts of ∗ beside an empty operand.
+def _a_beside_one_block(a, b, real=algebra.conv_basis):
+    out = real(a, b)
+    return a if out is not None and len(b.sets) == 1 else out
+
+
+def _empty_a_in_place_of_b(a, b, real=algebra.conv_basis):
+    return a if not a.sets else real(a, b)
+
+
+CONV_SHORTCUT_KILLERS = {
+    "assoc-conv/associativity", "assoc-conv/unit", "bialgebra/convolution-law",
+    "bialgebra/non-graded-witness", "oracle/convolution-agreement",
+    "reciprocity/matched-support", "reciprocity/all-triples-small",
+    "reciprocity/random-triples",
+}
+
+
+@pytest.mark.parametrize("kernel, killers", [
+    (_a_beside_one_block, CONV_SHORTCUT_KILLERS | {
+        "remarkable/matched-support", "remarkable/all-quadruples-small",
+        "remarkable/random-quadruples",
+    }),
+    (_empty_a_in_place_of_b, CONV_SHORTCUT_KILLERS),
+], ids=["a-beside-one-block", "empty-a-in-place-of-b"])
+def test_conv_basis_shortcut_mutant_is_killed(monkeypatch, kernel, killers):
+    _plant(monkeypatch, "conv_basis", kernel)
+    assert _killing_laws() == killers
+
+
+def _first_term_per_support_pair(y):
+    groups: dict = {}
+    for (l, r), c in y.terms.items():
+        groups.setdefault((l.support, r.support), [(l, r, c)])
+    return groups
+
+
+def test_a_leg_support_index_that_drops_terms_survives_verify_all(monkeypatch):
+    # The right operand of ∘₂ in every law is the δ(h) of a basis h, which
+    # has one term per pair of leg supports, so no law sees the dropped
+    # terms.  The all-pairs property test does: its first failing draw comes
+    # at once, but shrinking it takes seconds, so its body runs here on one
+    # element of the kind it draws, whose δ has two terms on ({1,2}, ∅).
+    import test_properties
+
+    monkeypatch.setattr(algebra, "_leg_support_groups", _first_term_per_support_pair)
+    assert _killing_laws() == set()
+    check = test_properties.test_tensor_composition_matches_all_pairs.hypothesis.inner_test
+    cancelling = TDElement({SetComposition([[1], [2]]): 1, SetComposition([[1, 2]]): -1})
+    with pytest.raises(AssertionError):
+        check(cancelling, TDElement({}), TDElement({}), TDElement({}))
 
 
 # Kill-matrix rows for the descent classes, planted through the name solomon calls.

@@ -378,3 +378,22 @@ def test_tensor_composition_with_a_one_term_operand_matches_all_pairs(f, g, y, c
     one, dy = c * tensor(basis(f), basis(g)), coproduct(y)
     assert tensor_composition(one, dy).terms == tensor_all_pairs(one, dy)
     assert tensor_composition(dy, one).terms == tensor_all_pairs(dy, one)
+    # with one left term, results keep the right operand's term order
+    assert list(tensor_composition(one, dy).terms.items()) == list(
+        tensor_all_pairs(one, dy).items()
+    )
+
+
+@common
+@given(x=cancelling_elements(), y=mixed_support_elements(), z=elements(), fs=st.lists(
+    st.tuples(set_comps(), set_comps(), st.integers(-3, 3)), min_size=1, max_size=4))
+def test_tensor_composition_reads_a_reused_right_operand_like_a_fresh_one(x, y, z, fs):
+    # one δ(y) is the right operand of ∘₂ for many left operands, as δ(h) is
+    # in a reciprocity sweep: its index is built by the first and read after
+    lefts = [c * tensor(basis(f), basis(g)) for f, g, c in fs]
+    lefts += [coproduct(x), tensor(z, y) + tensor(y, z), coproduct(y)]
+    for order in (lefts, lefts[::-1]):
+        dy = coproduct(y)
+        for left in order:
+            assert tensor_composition(left, dy).terms == tensor_all_pairs(left, dy)
+            assert tensor_composition(dy, left).terms == tensor_all_pairs(dy, left)
