@@ -191,10 +191,7 @@ def test_tensor_composition_examples():
     lhs = tensor_composition(coproduct(a), coproduct(b))
     assert lhs == coproduct(composition_product(a, b))
     assert composition_product(a, b) == a
-
-
-def test_tensor_composition_with_a_one_term_left_operand_keeps_the_right_term_order():
-    # results go in by term of the right operand, as far as they match f ⊗ g
+    # a one-term left operand keeps the right operand's order of the terms it meets
     one = tensor(parse("[{1,2}]"), parse("[{3}]"))
     y = TensorElement({
         (sc({2}, {1}), sc({3})): 1,
@@ -226,12 +223,10 @@ def test_terms_is_a_read_only_view():
     _assert_read_only(x, sc({1}))
     assert x == parse("[{2}] + [{1}]")
     _assert_read_only(DescentElement({(1, 2): 1, (3,): -2}), (3,))
-
-
-def test_an_indexed_right_operand_of_tensor_composition_stays_read_only():
+    # also once a tensor is the indexed right operand of ∘₂
     d = coproduct(parse("[{1,2}|{3}]"))
     t = tensor(parse("[{1}]"), parse("[{2}|{3}]"))
-    assert tensor_composition(t, d) == t  # d is now indexed by its leg supports
+    assert tensor_composition(t, d) == t
     _assert_read_only(d, (sc({1}), sc({2}, {3})))
     assert tensor_composition(t, d) == t
 
