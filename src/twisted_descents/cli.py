@@ -206,8 +206,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[fmt], help="run an invariant suite")
     p.add_argument("suite", help="suite name or 'all'")
-    p.add_argument("--max-n", type=count, help="degree cap for sweeps")
-    p.add_argument("--max-support", type=count, help="oracle universe cap")
+    p.add_argument("--max-n", type=count, help="largest degree the sweeps reach")
+    p.add_argument("--max-support", type=count, help="oracle universe size")
     p.add_argument("--seed", type=integer, default=0, help="seed for randomized suites")
     p.add_argument("--trials", type=count, help="randomized trial count")
     p.set_defaults(fn=cmd_verify)

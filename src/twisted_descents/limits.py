@@ -1,13 +1,12 @@
 """Size caps for enumeration-heavy operations.
 
-A caller can move only these caps: ``max_terms`` (default ``MAX_TERMS``) of
+A caller can move only one cap: ``max_terms`` (default ``MAX_TERMS``) of
 ``convolution``, ``composition_product`` and ``coproduct``, set by the CLI's
-``--max-terms`` and ``TDA_MAX_TERMS``; ``cap`` of ``oracle.all_words``
-(default ``ORACLE_SUPPORT_CAP``), set by ``verify --max-support``; and ``cap``
-of ``solomon.fixed_space_check`` (default 5), set by ``verify --max-n``.
-``VERIFY_CASE_CAP`` bounds what a verify law may plan before its first
-case: ``verify dims`` refuses more set compositions than it, summed over
-the weights it would enumerate.
+``--max-terms`` and ``TDA_MAX_TERMS``.  Every other cap is a constant here;
+``verify`` moves none, and refuses a sweep size past one before its first
+case.  ``VERIFY_CASE_CAP`` bounds what a verify law may plan: ``verify
+dims`` refuses more set compositions than it, summed over the weights it
+would enumerate.
 """
 
 # Largest ground-set label accepted anywhere.
@@ -22,6 +21,9 @@ MAX_TERMS = 2**24
 
 # Largest universe for brute-force endomorphism tables.
 ORACLE_SUPPORT_CAP = 4
+
+# Largest weight whose orbit-sum subalgebra fixed_space_check checks.
+FIXED_SPACE_CAP = 5
 
 # Most cases a verify law may plan.  The default sweeps stay under 1.6e6.
 VERIFY_CASE_CAP = 10**7

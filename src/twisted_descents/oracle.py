@@ -79,10 +79,10 @@ def _coproducts_of(universe: tuple[int, ...]) -> Mapping[BWord, tuple]:
     return MappingProxyType({w: _splits(w) for w in _words_of(universe)})
 
 
-def all_words(universe: Iterable[int], cap: int = ORACLE_SUPPORT_CAP) -> tuple[BWord, ...]:
+def all_words(universe: Iterable[int]) -> tuple[BWord, ...]:
     """Every word whose support is a subset of the universe."""
     ground = check_ground_set(universe)
-    check_size("word-table universe size", len(ground), cap)
+    check_size("word-table universe size", len(ground), ORACLE_SUPPORT_CAP)
     return _words_of(tuple(sorted(ground)))
 
 

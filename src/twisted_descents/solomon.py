@@ -23,7 +23,7 @@ from .algebra import (
     composition_product,
     permutation_basis,
 )
-from .limits import MAX_TERMS, check_size
+from .limits import FIXED_SPACE_CAP, MAX_TERMS, check_size
 from .permutations import (
     check_permutation,
     compose,
@@ -251,7 +251,7 @@ def young_decompose(parts, p: Iterable[int]) -> tuple[tuple[int, ...], tuple[int
     return beta, tau
 
 
-def fixed_space_check(n: int, cap: int = 5) -> bool:
+def fixed_space_check(n: int) -> bool:
     """Are the orbit sums an S_n-stable basis of a subalgebra isomorphic to Solomon's?
 
     Checks (i) every orbit sum is fixed by every permutation and (ii)
@@ -260,7 +260,7 @@ def fixed_space_check(n: int, cap: int = 5) -> bool:
     expands over orbit sums, with the structure constants of the descent
     algebra.
     """
-    check_size("fixed-space check weight", n, cap)
+    check_size("fixed-space check weight", n, FIXED_SPACE_CAP)
     if n < 1:
         raise ValueError("weight must be positive")
     # Every orbit sum is built once; Solomon's rule keeps the weight, so only

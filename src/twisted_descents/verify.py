@@ -1,7 +1,9 @@
 """Exhaustive and randomized verification suites for every algebraic law.
 
-Each suite returns a list of ``LawResult`` records; the CLI renders them and
-sets the exit code.  Every law runs through one engine, ``_sweep``:
+A suite only declares its laws, as ``(law, cases, check, summary)`` tuples,
+and refuses an oversized plan as it does.  ``run_suite`` declares every suite
+it will run before it sweeps any, so each size guard fires before the first
+case; then it sweeps the laws in order through one engine, ``_sweep``:
 
 - ``cases`` is a lazy iterable of argument tuples.  Seeded draws happen only
   as cases are pulled, so a law that stops early leaves the generator, and the
@@ -14,13 +16,14 @@ sets the exit code.  Every law runs through one engine, ``_sweep``:
   line.  A law that checked no case at all is ``VACUOUS``: it does not hold.
 
 A kernel result that many cases share may sit in a table built during the
-sweep; no table outlives its suite call, and a table feeds one side of a case
-only.  Kernels are looked up when they run, through this module's names and
-orbit sums through ``solomon``'s, so a fault planted there reaches every table.
+sweep; no table outlives its suite's sweep, and a table feeds one side of a
+case only.  Kernels are looked up when they run, through this module's names
+and orbit sums through ``solomon``'s, so a fault planted there reaches every
+table.
 
 Sweep sizes follow the documented desk-scale defaults and scale with the
-configured caps.  All randomness flows through one seeded generator per
-suite, so reports are reproducible.
+configured sizes, within the fixed caps of ``limits``.  All randomness flows
+through one seeded generator per suite, so reports are reproducible.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ from .algebra import (
     tensor_composition,
     tensor_convolution,
 )
-from .limits import VERIFY_CASE_CAP, check_size
+from .limits import FIXED_SPACE_CAP, VERIFY_CASE_CAP, check_size
 from .permutations import compose, symmetric_group, young_subgroup
 from .setcomp import (
     SetComposition,
@@ -126,9 +129,13 @@ def _sweep(
     return LawResult(suite, law, True, summary(checked))
 
 
-def _single(suite: str, law: str, check: Callable[[], str | None], detail: str) -> LawResult:
+# A law as a suite declares it: the arguments of ``_sweep`` after the suite.
+Law = tuple[str, Iterable[tuple], Callable[..., str | None], Callable[[int], str]]
+
+
+def _single(law: str, check: Callable[[], str | None], detail: str) -> Law:
     """A law with one fixed case."""
-    return _sweep(suite, law, [()], check, lambda _: detail)
+    return law, [()], check, lambda _: detail
 
 
 def _trial(check: Callable[..., str | None]) -> Callable[..., str | None]:
@@ -216,7 +223,7 @@ def _associative(product: Callable) -> Callable[..., str | None]:
     return check
 
 
-def suite_assoc_conv(cfg: Config) -> list[LawResult]:
+def suite_assoc_conv(cfg: Config) -> list[Law]:
     rng = random.Random(cfg.seed)
     n = cfg.n(5)
     trials = cfg.trial_count(200)
@@ -229,17 +236,17 @@ def suite_assoc_conv(cfg: Config) -> list[LawResult]:
             return f"a={render(a)}"
 
     return [
-        _sweep("assoc-conv", "associativity", _random_cases(trials, draw, 3),
-               _trial(_associative(convolution)), lambda k: f"{k} random triples, support <= {n}"),
-        _sweep("assoc-conv", "unit", _random_cases(trials, draw, 1), _trial(unit),
-               lambda k: f"[] is a two-sided unit ({k} trials)"),
-        _single("assoc-conv", "overlap-annihilation",
+        ("associativity", _random_cases(trials, draw, 3),
+         _trial(_associative(convolution)), lambda k: f"{k} random triples, support <= {n}"),
+        ("unit", _random_cases(trials, draw, 1), _trial(unit),
+         lambda k: f"[] is a two-sided unit ({k} trials)"),
+        _single("overlap-annihilation",
                 lambda: _unless_zero(convolution(basis([[1, 2]]), basis([[1, 2]]))),
                 "[{1,2}] * [{1,2}] = 0"),
     ]
 
 
-def suite_assoc_comp(cfg: Config) -> list[LawResult]:
+def suite_assoc_comp(cfg: Config) -> list[Law]:
     rng = random.Random(cfg.seed)
     n = cfg.n(5)
     trials = cfg.trial_count(200)
@@ -268,24 +275,23 @@ def suite_assoc_comp(cfg: Config) -> list[LawResult]:
             return f"sc={render(basis(sc))}, sigma={p}, got {shown}"
 
     return [
-        _sweep("assoc-comp", "associativity", _random_cases(trials, draw, 3),
-               _trial(_associative(composition_product)),
-               lambda k: f"{k} random triples, support <= {n}"),
-        _sweep("assoc-comp", "degreewise-unit",
-               ((sub, basis([sub]), basis(sc))
-                for sub in _subsets(_ground(unit_n)) if sub for sc in _comps_of(sub)),
-               unit, lambda _: f"1_S two-sided unit, |S| <= {unit_n}"),
-        _single("assoc-comp", "grading-annihilation",
+        ("associativity", _random_cases(trials, draw, 3), _trial(_associative(composition_product)),
+         lambda k: f"{k} random triples, support <= {n}"),
+        ("degreewise-unit",
+         ((sub, basis([sub]), basis(sc))
+          for sub in _subsets(_ground(unit_n)) if sub for sc in _comps_of(sub)),
+         unit, lambda _: f"1_S two-sided unit, |S| <= {unit_n}"),
+        _single("grading-annihilation",
                 lambda: _unless_zero(composition_product(basis([[1, 2]]), basis([[3]]))),
                 "[{1,2}] o [{3}] = 0"),
-        _sweep("assoc-comp", "chamber-absorption",
-               (case for sub in _subsets(_ground(absorb_n)) for case in
-                itertools.product(map(chamber, itertools.permutations(sub)), _comps_of(sub))),
-               absorbs, lambda _: f"exhaustive, |S| <= {absorb_n}"),
-        _sweep("assoc-comp", "unshuffling",
-               (case for m in range(unshuf_n + 1)
-                for case in itertools.product(_comps_of(_ground(m)), symmetric_group(m))),
-               unshuffles, lambda _: f"exhaustive, n <= {unshuf_n}"),
+        ("chamber-absorption",
+         (case for sub in _subsets(_ground(absorb_n)) for case in
+          itertools.product(map(chamber, itertools.permutations(sub)), _comps_of(sub))),
+         absorbs, lambda _: f"exhaustive, |S| <= {absorb_n}"),
+        ("unshuffling",
+         (case for m in range(unshuf_n + 1)
+          for case in itertools.product(_comps_of(_ground(m)), symmetric_group(m))),
+         unshuffles, lambda _: f"exhaustive, n <= {unshuf_n}"),
     ]
 
 
@@ -293,7 +299,7 @@ def suite_assoc_comp(cfg: Config) -> list[LawResult]:
 # bialgebra suite
 
 
-def suite_bialgebra(cfg: Config) -> list[LawResult]:
+def suite_bialgebra(cfg: Config) -> list[Law]:
     n = cfg.n(4)
     co_n = n + 1
 
@@ -354,16 +360,14 @@ def suite_bialgebra(cfg: Config) -> list[LawResult]:
             return f"cocommutativity fails on {render(basis(sc))}"
 
     return [
-        _sweep("bialgebra", "compose-law", graded_pairs(), compose_law,
-               lambda k: f"{k} pairs, support [m], m <= {n}"),
-        _sweep("bialgebra", "convolution-law", disjoint_pairs(), convolution_law,
-               lambda k: f"{k} disjoint pairs, total support <= {n}"),
-        _single("bialgebra", "non-graded-witness", witness,
+        ("compose-law", graded_pairs(), compose_law, lambda k: f"{k} pairs, support [m], m <= {n}"),
+        ("convolution-law", disjoint_pairs(), convolution_law,
+         lambda k: f"{k} disjoint pairs, total support <= {n}"),
+        _single("non-graded-witness", witness,
                 "delta(x*x)=0 but delta(x)*2 delta(x) has the known 3-term value"
                 " (expected failure of the naive law)"),
-        _sweep("bialgebra", "coassociative-cocommutative", word_coproducts(),
-               coassociative_cocommutative,
-               lambda k: f"{k} basis elements, support size <= {co_n}"),
+        ("coassociative-cocommutative", word_coproducts(), coassociative_cocommutative,
+         lambda k: f"{k} basis elements, support size <= {co_n}"),
     ]
 
 
@@ -413,7 +417,7 @@ def _reciprocity(f, g, h, dh, fg, f_g) -> str | None:
         return _show(f=f, g=g, h=h)
 
 
-def suite_reciprocity(cfg: Config) -> list[LawResult]:
+def suite_reciprocity(cfg: Config) -> list[Law]:
     rng = random.Random(cfg.seed)
     n = cfg.n(5)
     ground = _ground(n)
@@ -473,12 +477,12 @@ def suite_reciprocity(cfg: Config) -> list[LawResult]:
             yield label, f, g, h, dh, *_pair(f, g)
 
     return [
-        _sweep("reciprocity", "matched-support", matched_triples(), _matched_reciprocity,
-               lambda k: f"{k} triples, supp f ⊔ supp g = supp h <= [{n}]"),
-        _sweep("reciprocity", "all-triples-small", all_triples(), _reciprocity,
-               lambda k: f"{k} triples over [{len(small)}]"),
-        _sweep("reciprocity", "random-triples", random_triples(),
-               _trial(_reciprocity), lambda _: f"{trials} seeded triples over [{n}]"),
+        ("matched-support", matched_triples(), _matched_reciprocity,
+         lambda k: f"{k} triples, supp f ⊔ supp g = supp h <= [{n}]"),
+        ("all-triples-small", all_triples(), _reciprocity,
+         lambda k: f"{k} triples over [{len(small)}]"),
+        ("random-triples", random_triples(),
+         _trial(_reciprocity), lambda _: f"{trials} seeded triples over [{n}]"),
     ]
 
 
@@ -508,7 +512,7 @@ def _remarkable(f, g, h, k) -> str | None:
     return _matched_remarkable(f, g, fg, h, k, hk)
 
 
-def suite_remarkable(cfg: Config) -> list[LawResult]:
+def suite_remarkable(cfg: Config) -> list[Law]:
     rng = random.Random(cfg.seed)
     n = cfg.n(5)
     ground = _ground(n)
@@ -532,13 +536,13 @@ def suite_remarkable(cfg: Config) -> list[LawResult]:
                     yield f, g, fg, h, k, hk
 
     return [
-        _sweep("remarkable", "matched-support", matched_quadruples(), _matched_remarkable,
-               lambda k: f"{k} quadruples ({k} nonzero), disjoint pairs inside [{n}]"),
+        ("matched-support", matched_quadruples(), _matched_remarkable,
+         lambda k: f"{k} quadruples ({k} nonzero), disjoint pairs inside [{n}]"),
         # every quadruple in a tiny universe, including mismatched supports
-        _sweep("remarkable", "all-quadruples-small", itertools.product(_words(small), repeat=4),
-               _remarkable, lambda k: f"{k} quadruples over [{len(small)}]"),
-        _sweep("remarkable", "random-quadruples", _random_cases(trials, draw, 4),
-               _trial(_remarkable), lambda _: f"{trials} seeded quadruples over [{n}]"),
+        ("all-quadruples-small", itertools.product(_words(small), repeat=4),
+         _remarkable, lambda k: f"{k} quadruples over [{len(small)}]"),
+        ("random-quadruples", _random_cases(trials, draw, 4),
+         _trial(_remarkable), lambda _: f"{trials} seeded quadruples over [{n}]"),
     ]
 
 
@@ -546,10 +550,10 @@ def suite_remarkable(cfg: Config) -> list[LawResult]:
 # oracle suite
 
 
-def suite_oracle(cfg: Config) -> list[LawResult]:
+def suite_oracle(cfg: Config) -> list[Law]:
     n = cfg.support(4)
     ground = _ground(n)
-    words = list(orc.all_words(ground, cap=n))
+    words = list(orc.all_words(ground))
     expected_words = sum(math.comb(n, r) * count_set_compositions(r) for r in range(n + 1))
     memo: dict = {}
 
@@ -632,21 +636,20 @@ def suite_oracle(cfg: Config) -> list[LawResult]:
             return _show(w=w)
 
     return [
-        _sweep("oracle", "composition-agreement", equal_support_pairs(), composition_agrees,
-               lambda k: f"{k} equal-support pairs, |S| <= {n}"),
-        _sweep("oracle", "convolution-agreement", disjoint_pairs(), convolution_agrees,
-               lambda k: f"{k} disjoint pairs, total support <= {n}"),
-        _sweep("oracle", "freeness-separation", tables_by_support(), distinct,
-               lambda k: f"{k} distinct tables, |S| <= {n}"),
-        _sweep("oracle", "coproduct-product-compatibility",
-               ((u, v) for u, v in itertools.product(words, repeat=2) if not u.support & v.support),
-               compatible, lambda k: f"{k} disjoint word pairs"),
-        _sweep("oracle", "split-projection-rule", ((t, w) for t in _subsets(ground) for w in words),
-               projects, lambda k: f"{k} word/degree pairs"),
-        _sweep("oracle", "word-coproduct-cocommutative", zip(words), cocommutative,
-               lambda k: f"{k} words"),
+        ("composition-agreement", equal_support_pairs(), composition_agrees,
+         lambda k: f"{k} equal-support pairs, |S| <= {n}"),
+        ("convolution-agreement", disjoint_pairs(), convolution_agrees,
+         lambda k: f"{k} disjoint pairs, total support <= {n}"),
+        ("freeness-separation", tables_by_support(), distinct,
+         lambda k: f"{k} distinct tables, |S| <= {n}"),
+        ("coproduct-product-compatibility",
+         ((u, v) for u, v in itertools.product(words, repeat=2) if not u.support & v.support),
+         compatible, lambda k: f"{k} disjoint word pairs"),
+        ("split-projection-rule", ((t, w) for t in _subsets(ground) for w in words),
+         projects, lambda k: f"{k} word/degree pairs"),
+        ("word-coproduct-cocommutative", zip(words), cocommutative, lambda k: f"{k} words"),
         # the word count over the full universe, against the binomial/Fubini formula
-        _single("oracle", "word-count",
+        _single("word-count",
                 lambda: None if len(words) == expected_words
                 else f"{len(words)} words, expected {expected_words}",
                 f"{len(words)} words over [{n}]"),
@@ -657,7 +660,7 @@ def suite_oracle(cfg: Config) -> list[LawResult]:
 # solomon suite
 
 
-def suite_solomon(cfg: Config) -> list[LawResult]:
+def suite_solomon(cfg: Config) -> list[Law]:
     n = cfg.n(5)
     orbit_n = min(n, 5)
     unit_n = max(n, 6) if cfg.max_n is None else n
@@ -719,15 +722,13 @@ def suite_solomon(cfg: Config) -> list[LawResult]:
             return f"got {dict(mism.terms)}"
 
     return [
-        _sweep("solomon", "truncation", orbit_pairs(n), truncates,
-               lambda k: f"{k} basis pairs, weight <= {n}"),
-        _sweep("solomon", "orbit-structure-constants", orbit_pairs(orbit_n), structure_constants,
-               lambda k: f"{k} pairs, weight <= {orbit_n}"),
-        _sweep("solomon", "unit", ((m, c) for m in range(1, unit_n + 1) for c in compositions(m)),
-               unit, lambda _: f"1_n two-sided unit, n <= {unit_n}"),
-        _sweep("solomon", "associativity", triples(), associative,
-               lambda k: f"{k} triples, weight <= {assoc_n}"),
-        _single("solomon", "weight-mismatch", mismatch, "D_2 o D_3 = 0"),
+        ("truncation", orbit_pairs(n), truncates, lambda k: f"{k} basis pairs, weight <= {n}"),
+        ("orbit-structure-constants", orbit_pairs(orbit_n), structure_constants,
+         lambda k: f"{k} pairs, weight <= {orbit_n}"),
+        ("unit", ((m, c) for m in range(1, unit_n + 1) for c in compositions(m)),
+         unit, lambda _: f"1_n two-sided unit, n <= {unit_n}"),
+        ("associativity", triples(), associative, lambda k: f"{k} triples, weight <= {assoc_n}"),
+        _single("weight-mismatch", mismatch, "D_2 o D_3 = 0"),
     ]
 
 
@@ -745,7 +746,7 @@ def _compose_equivariant(a, b, s) -> str | None:
         return f"a={render(a)}, b={render(b)}, sigma={s}"
 
 
-def suite_equivariance(cfg: Config) -> list[LawResult]:
+def suite_equivariance(cfg: Config) -> list[Law]:
     rng = random.Random(cfg.seed)
     n = cfg.n(5)
     small = min(n, 3)
@@ -777,18 +778,18 @@ def suite_equivariance(cfg: Config) -> list[LawResult]:
     perms = list(symmetric_group(small))
     return [
         # right-action axiom, exhaustively in a small universe
-        _sweep("equivariance", "right-action",
-               itertools.product([basis(sc) for sc in _words(_ground(small))], perms, perms),
-               _right_action, lambda k: f"{k} checks, n <= {small}"),
+        ("right-action",
+         itertools.product([basis(sc) for sc in _words(_ground(small))], perms, perms),
+         _right_action, lambda k: f"{k} checks, n <= {small}"),
         # random right-action checks at larger degrees
-        _sweep("equivariance", "right-action-random", random_by_degree(draw_action),
-               _trial(_right_action), lambda _: f"{trials} trials each at n = 4..{n}"),
+        ("right-action-random", random_by_degree(draw_action),
+         _trial(_right_action), lambda _: f"{trials} trials each at n = 4..{n}"),
         # compose-equivariance, exhaustive then random
-        _sweep("equivariance", "compose-equivariance", exhaustive_products(),
-               _compose_equivariant, lambda k: f"{k} checks, n <= {small}"),
-        _sweep("equivariance", "compose-equivariance-random", random_by_degree(draw_product),
-               _trial(_compose_equivariant),
-               lambda _: f"{trials} trials each at n = 4..{n}, full support"),
+        ("compose-equivariance", exhaustive_products(),
+         _compose_equivariant, lambda k: f"{k} checks, n <= {small}"),
+        ("compose-equivariance-random", random_by_degree(draw_product),
+         _trial(_compose_equivariant),
+         lambda _: f"{trials} trials each at n = 4..{n}, full support"),
     ]
 
 
@@ -796,7 +797,7 @@ def suite_equivariance(cfg: Config) -> list[LawResult]:
 # shuffles suite (descent classes, shuffle duality, Young factorization)
 
 
-def suite_shuffles(cfg: Config) -> list[LawResult]:
+def suite_shuffles(cfg: Config) -> list[Law]:
     n = cfg.n(6)
     young_n = min(n, 4)
     stab_n = min(n, 5)
@@ -842,13 +843,11 @@ def suite_shuffles(cfg: Config) -> list[LawResult]:
             return f"type {c}: stabilizer has {len(stab)} elements"
 
     return [
-        _sweep("shuffles", "descent-duality", by_type(), dual,
-               lambda k: f"{k} compositions, n <= {n}"),
-        _sweep("shuffles", "young-factorization", zip(compositions(young_n)), factorizes,
-               lambda k: f"{k * math.factorial(young_n)} factorizations over S_{young_n}"),
-        _sweep("shuffles", "stabilizer",
-               ((m, c) for m in range(1, stab_n + 1) for c in compositions(m)),
-               stabilizer, lambda k: f"{k} compositions, n <= {stab_n}"),
+        ("descent-duality", by_type(), dual, lambda k: f"{k} compositions, n <= {n}"),
+        ("young-factorization", zip(compositions(young_n)), factorizes,
+         lambda k: f"{k * math.factorial(young_n)} factorizations over S_{young_n}"),
+        ("stabilizer", ((m, c) for m in range(1, stab_n + 1) for c in compositions(m)),
+         stabilizer, lambda k: f"{k} compositions, n <= {stab_n}"),
     ]
 
 
@@ -856,26 +855,22 @@ def suite_shuffles(cfg: Config) -> list[LawResult]:
 # fixed-space and dimension suites
 
 
-def suite_fixed_space(cfg: Config) -> list[LawResult]:
+def suite_fixed_space(cfg: Config) -> list[Law]:
     n = cfg.n(4)
+    # fixed_space_check's own cap, met before the first weight is checked
+    check_size("fixed-space check weight", n, FIXED_SPACE_CAP)
     return [
-        _sweep("fixed-space", "invariant-subalgebra", zip(range(1, n + 1)),
-               lambda m: None if fixed_space_check(m, cap=n) else f"n={m}",
-               lambda _: f"orbit sums closed under o, n <= {n}")
+        ("invariant-subalgebra", zip(range(1, n + 1)),
+         lambda m: None if fixed_space_check(m) else f"n={m}",
+         lambda _: f"orbit sums closed under o, n <= {n}")
     ]
 
 
-def _dims_n(cfg: Config) -> int:
-    """The dims suite's n, once the set compositions it would enumerate are
-    found within ``VERIFY_CASE_CAP``; raises SizeLimitError otherwise."""
+def suite_dims(cfg: Config) -> list[Law]:
+    # the set compositions the sweep would enumerate, counted before the first
     n = cfg.n(5)
     planned = sum(count_set_compositions(m) for m in range(n + 1))
     check_size("verify dims set compositions", planned, VERIFY_CASE_CAP)
-    return n
-
-
-def suite_dims(cfg: Config) -> list[LawResult]:
-    n = _dims_n(cfg)
 
     def fubini(m):
         enumerated = sum(1 for _ in enumerate_set_compositions(_ground(m)))
@@ -885,8 +880,8 @@ def suite_dims(cfg: Config) -> list[LawResult]:
 
     # on a pass every enumerated count equals the recurrence's
     return [
-        _sweep("dims", "fubini", zip(range(n + 1)), fubini,
-               lambda k: " ".join(str(count_set_compositions(m)) for m in range(k)))
+        ("fubini", zip(range(n + 1)), fubini,
+         lambda k: " ".join(str(count_set_compositions(m)) for m in range(k)))
     ]
 
 
@@ -894,7 +889,7 @@ def suite_dims(cfg: Config) -> list[LawResult]:
 # registry
 
 
-SUITES: dict[str, Callable[[Config], list[LawResult]]] = {
+SUITES: dict[str, Callable[[Config], list[Law]]] = {
     "assoc-conv": suite_assoc_conv,
     "assoc-comp": suite_assoc_comp,
     "bialgebra": suite_bialgebra,
@@ -910,12 +905,12 @@ SUITES: dict[str, Callable[[Config], list[LawResult]]] = {
 
 
 def run_suite(name: str, cfg: Config) -> list[LawResult]:
-    if name == "all":
-        _dims_n(cfg)  # refuse an oversized dims plan before any suite runs
-        results = []
-        for key in SUITES:
-            results.extend(SUITES[key](cfg))
-        return results
-    if name not in SUITES:
-        raise KeyError(name)
-    return SUITES[name](cfg)
+    """The results of suite ``name``, or of every suite for ``all``.  Every
+    suite declares its laws before the first is swept; each suite's laws are
+    dropped once swept, with the tables they hold."""
+    plans = [(key, SUITES[key](cfg)) for key in (SUITES if name == "all" else [name])]
+    results = []
+    while plans:
+        suite, laws = plans.pop(0)
+        results.extend(_sweep(suite, *law) for law in laws)
+    return results

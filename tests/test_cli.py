@@ -354,17 +354,27 @@ def test_verify_respects_caps(capsys, monkeypatch):
     assert code == EXIT_USAGE and "TDA_MAX_N='-1' is not a count" in err
 
 
-def test_verify_all_refuses_the_dims_plan_before_any_suite_runs(capsys, monkeypatch):
+_FIXED_SPACE_6 = "size limit: fixed-space check weight: 6 requested, cap 5\n"
+_WORDS_5 = "size limit: word-table universe size: 5 requested, cap 4\n"
+
+
+@pytest.mark.parametrize("argv, err_line", [
+    pytest.param(["fixed-space", "--max-n", "6"], _FIXED_SPACE_6, id="fixed-space-n6"),
+    pytest.param(["all", "--max-n", "6"], _FIXED_SPACE_6, id="all-n6"),
+    pytest.param(["oracle", "--max-support", "5"], _WORDS_5, id="oracle-support5"),
+    pytest.param(["all", "--max-support", "5"], _WORDS_5, id="all-support5"),
+    pytest.param(["all", "--max-n", "10"],
+                 "size limit: fixed-space check weight: 10 requested, cap 5\n", id="all-n10"),
+])
+def test_verify_refuses_an_oversized_run_before_its_first_case(capsys, monkeypatch, argv, err_line):
     from twisted_descents import verify
 
-    def never(cfg):
-        raise AssertionError("a suite ran before the dims plan was checked")
+    def never(*args):
+        raise AssertionError("a law was swept before every size guard ran")
 
-    for name in verify.SUITES:
-        monkeypatch.setitem(verify.SUITES, name, never)
-    code, out, err = run(capsys, "verify", "all", "--max-n", "10")
-    assert (code, out) == (EXIT_CAP, "")
-    assert err == "size limit: verify dims set compositions: 109933269 requested, cap 10000000\n"
+    monkeypatch.setattr(verify, "_sweep", never)
+    code, out, err = run(capsys, "verify", *argv)
+    assert (code, out, err) == (EXIT_CAP, "", err_line)
 
 
 def test_verify_json(capsys):

@@ -61,7 +61,7 @@ def _faulty_coproduct(real, left, mode, word=H):
 @pytest.mark.parametrize("left", LEFT_SUPPORTS, ids=lambda s: "A=" + "".join(map(str, sorted(s))))
 def test_reciprocity_sweep_catches_a_broken_coproduct_term(monkeypatch, left, mode):
     monkeypatch.setattr(verify, "coproduct", _faulty_coproduct(verify.coproduct, left, mode))
-    results = verify.suite_reciprocity(verify.Config(max_n=3, trials=0))
+    results = verify.run_suite("reciprocity", verify.Config(max_n=3, trials=0))
     result = next(r for r in results if r.law == "matched-support")
     assert not result.ok
     # every h before H in the sweep passed, so the fault is what failed
@@ -96,7 +96,7 @@ def test_matched_reciprocity_checks_a_piece_of_other_than_one_term(monkeypatch, 
         return TensorElement(fault(h, real(x, *args, **kwargs).terms))
 
     monkeypatch.setattr(verify, "coproduct", coproduct)
-    results = verify.suite_reciprocity(verify.Config(max_n=3, trials=0))
+    results = verify.run_suite("reciprocity", verify.Config(max_n=3, trials=0))
     result = next(r for r in results if r.law == "matched-support")
     assert result.line() == f"FAIL [reciprocity] matched-support: {shown}"
 
@@ -112,7 +112,7 @@ def test_matched_reciprocity_reads_a_broken_composition_from_a_row(monkeypatch):
         return SetComposition([[1], [2]]) if (a, b) == (one, swapped) else real(a, b)
 
     monkeypatch.setattr(verify, "compose_basis", compose_basis)
-    results = verify.suite_reciprocity(verify.Config(max_n=3, trials=0))
+    results = verify.run_suite("reciprocity", verify.Config(max_n=3, trials=0))
     result = next(r for r in results if r.law == "matched-support")
     assert result.line() == (
         "FAIL [reciprocity] matched-support: f=1*[{3}], g=1*[{1,2}], h=1*[{2}|{1,3}]"
@@ -124,7 +124,7 @@ def test_matched_reciprocity_reads_a_broken_composition_from_a_row(monkeypatch):
 def test_coassociativity_catches_a_broken_coproduct_term(monkeypatch, left, mode):
     word = SetComposition([[2], [1], [3]])
     monkeypatch.setattr(verify, "coproduct", _faulty_coproduct(verify.coproduct, left, mode, word))
-    results = verify.suite_bialgebra(verify.Config(max_n=2))
+    results = verify.run_suite("bialgebra", verify.Config(max_n=2))
     result = next(r for r in results if r.law == "coassociative-cocommutative")
     # no word before this one has it as a leg of its δ, so the fault is what failed
     assert result.line() == (
@@ -144,7 +144,7 @@ def test_coassociativity_reports_a_coproduct_leg_outside_the_table(monkeypatch):
         return TensorElement({**out.terms, (stray, word): 1})
 
     monkeypatch.setattr(verify, "coproduct", coproduct)
-    results = verify.suite_bialgebra(verify.Config(max_n=2))
+    results = verify.run_suite("bialgebra", verify.Config(max_n=2))
     result = next(r for r in results if r.law == "coassociative-cocommutative")
     assert result.line() == (
         "FAIL [bialgebra] coassociative-cocommutative:"
@@ -198,7 +198,7 @@ def test_mutating_a_word_coproduct_leaves_the_memo_intact():
 def _remarkable_matched(monkeypatch, name, fault):
     real = getattr(verify, name)
     monkeypatch.setattr(verify, name, lambda a, b: fault(a, b, real(a, b)))
-    results = verify.suite_remarkable(verify.Config(max_n=3, trials=0))
+    results = verify.run_suite("remarkable", verify.Config(max_n=3, trials=0))
     return next(r for r in results if r.law == "matched-support")
 
 
@@ -236,7 +236,7 @@ def test_remarkable_sweep_reads_a_broken_composition_from_its_list(monkeypatch):
 
     monkeypatch.setattr(verify, "_disjoint_pairs", disjoint_pairs)
     monkeypatch.setattr(verify, "compose_basis", compose_basis)
-    result = next(r for r in verify.suite_remarkable(verify.Config(max_n=3, trials=0))
+    result = next(r for r in verify.run_suite("remarkable", verify.Config(max_n=3, trials=0))
                   if r.law == "matched-support")
     assert result.line() == (
         "FAIL [remarkable] matched-support: f=1*[{1,2}], g=1*[{1,2}], h=1*[{3}], k=1*[{3}]"
@@ -252,7 +252,7 @@ def test_unshuffling_reports_a_zero_composition(monkeypatch):
         return None if out is not None and len(out.sets) == 3 else out
 
     monkeypatch.setattr(verify, "compose_basis", compose_basis)
-    results = verify.suite_assoc_comp(verify.Config(max_n=3, trials=0))
+    results = verify.run_suite("assoc-comp", verify.Config(max_n=3, trials=0))
     result = next(r for r in results if r.law == "unshuffling")
     assert not result.ok
     assert result.detail == "sc=1*[{1,2,3}], sigma=(1, 2, 3), got 0"
@@ -331,7 +331,7 @@ def _calls_during(monkeypatch, name, law, module=verify):
 def test_random_reciprocity_expands_each_h_once(monkeypatch):
     cfg = verify.Config(max_n=3, trials=300)
     calls = _calls_during(monkeypatch, "coproduct", "random-triples")
-    results = verify.suite_reciprocity(cfg)
+    results = verify.run_suite("reciprocity", cfg)
     assert all(r.ok for r in results)
     rng = random.Random(cfg.seed)
     draws = [verify.random_set_composition(rng, (1, 2, 3)) for _ in range(3 * 300)]
@@ -344,7 +344,7 @@ def test_random_reciprocity_expands_each_h_once(monkeypatch):
 def test_random_reciprocity_reads_a_broken_coproduct_from_its_table(monkeypatch, mode):
     fault = _faulty_coproduct(verify.coproduct, frozenset({3}), mode)
     monkeypatch.setattr(verify, "coproduct", fault)
-    results = verify.suite_reciprocity(verify.Config(max_n=3, trials=300))
+    results = verify.run_suite("reciprocity", verify.Config(max_n=3, trials=300))
     result = next(r for r in results if r.law == "random-triples")
     assert not result.ok
     assert result.detail.startswith("trial ") and result.detail.endswith(f"h={render(basis(H))}")
@@ -352,7 +352,7 @@ def test_random_reciprocity_reads_a_broken_coproduct_from_its_table(monkeypatch,
 
 def test_solomon_associativity_builds_each_basis_product_once(monkeypatch):
     calls = _calls_during(monkeypatch, "solomon_compose", "associativity")
-    result = next(r for r in verify.suite_solomon(verify.Config(max_n=4))
+    result = next(r for r in verify.run_suite("solomon", verify.Config(max_n=4))
                   if r.law == "associativity")
     assert result.ok
     by_weight = Counter(a.weight for a, _ in calls)
@@ -369,7 +369,7 @@ def test_solomon_associativity_reads_a_broken_basis_product_from_its_table(monke
         return out + a if (a.terms, b.terms) == pair else out
 
     monkeypatch.setattr(verify, "solomon_compose", solomon_compose)
-    result = next(r for r in verify.suite_solomon(verify.Config(max_n=3))
+    result = next(r for r in verify.run_suite("solomon", verify.Config(max_n=3))
                   if r.law == "associativity")
     assert not result.ok
     assert "(1, 1), (2,)" in result.detail
@@ -383,7 +383,7 @@ def test_solomon_truncation_catches_a_broken_orbit_sum(monkeypatch):
         return out - basis(next(iter(out.terms))) if tuple(c) == (2, 1) else out
 
     monkeypatch.setattr(solomon, "orbit_sum", orbit_sum)
-    result = next(r for r in verify.suite_solomon(verify.Config(max_n=3))
+    result = next(r for r in verify.run_suite("solomon", verify.Config(max_n=3))
                   if r.law == "truncation")
     assert not result.ok
     assert "(2, 1)" in result.detail
@@ -404,7 +404,7 @@ def test_solomon_truncation_reports_a_product_of_another_weight(monkeypatch):
     # the stray term lies outside the weight-3 orbit-sum table; the law must
     # still compare the two routes and name the pair
     _compose_into_another_weight(monkeypatch)
-    result = next(r for r in verify.suite_solomon(verify.Config(max_n=3))
+    result = next(r for r in verify.run_suite("solomon", verify.Config(max_n=3))
                   if r.law == "truncation")
     assert not result.ok
     assert result.detail == "(2, 1) o (1, 1, 1)"
@@ -419,7 +419,7 @@ def test_fixed_space_reports_a_product_of_another_weight(monkeypatch):
 
 def test_solomon_truncation_builds_each_orbit_sum_once(monkeypatch):
     calls = _calls_during(monkeypatch, "orbit_sum", "truncation", module=solomon)
-    result = next(r for r in verify.suite_solomon(verify.Config(max_n=4))
+    result = next(r for r in verify.run_suite("solomon", verify.Config(max_n=4))
                   if r.law == "truncation")
     assert result.ok
     weights = [c for m in range(1, 5) for c in compositions(m)]
@@ -443,7 +443,7 @@ def test_matched_reciprocity_reads_two_sided_splits_from_rows(monkeypatch):
     # every case makes f ∗ g ∘ h; a one-sided split also makes f ∘ l and
     # g ∘ r per case, a two-sided split one row entry per pair on A and on B
     calls = _calls_during(monkeypatch, "compose_basis", "matched-support")
-    results = verify.suite_reciprocity(verify.Config(max_n=4, trials=0))
+    results = verify.run_suite("reciprocity", verify.Config(max_n=4, trials=0))
     assert results[0].ok
     want = 0
     for a, b in _splits(4):  # A ⊔ B = supp h
@@ -456,7 +456,7 @@ def test_matched_reciprocity_reads_two_sided_splits_from_rows(monkeypatch):
 def test_matched_remarkable_makes_each_hk_once_per_split(monkeypatch):
     # per split: f ∘ g per pair on A, h ∘ k per pair on B, and one right side per case
     calls = _calls_during(monkeypatch, "compose_basis", "matched-support")
-    results = verify.suite_remarkable(verify.Config(max_n=4, trials=0))
+    results = verify.run_suite("remarkable", verify.Config(max_n=4, trials=0))
     assert results[0].ok
     want = sum(
         _fubini(a) ** 2 + _fubini(b) ** 2 + (_fubini(a) * _fubini(b)) ** 2
@@ -475,9 +475,9 @@ def test_oracle_suite_represents_each_composition_once_per_call(monkeypatch):
 
     monkeypatch.setattr(oracle, "represent", represent)
     cfg = verify.Config(max_support=3)
-    assert all(r.ok for r in verify.suite_oracle(cfg))
+    assert all(r.ok for r in verify.run_suite("oracle", cfg))
     assert len(counts) > 26 and set(counts.values()) == {1}
-    assert all(r.ok for r in verify.suite_oracle(cfg))
+    assert all(r.ok for r in verify.run_suite("oracle", cfg))
     assert set(counts.values()) == {2}  # the second call starts with no memo
 
 
@@ -489,7 +489,7 @@ def test_convolution_agreement_reads_a_broken_represent_from_its_memo(monkeypatc
         return real(other if sc == victim else sc, universe)
 
     monkeypatch.setattr(oracle, "represent", represent)
-    result = next(r for r in verify.suite_oracle(verify.Config(max_support=3))
+    result = next(r for r in verify.run_suite("oracle", verify.Config(max_support=3))
                   if r.law == "convolution-agreement")
     assert result.line() == "FAIL [oracle] convolution-agreement: a=1*[{1}], b=1*[{2}]"
 
@@ -682,11 +682,13 @@ def test_composition_laws_report_a_result_that_is_no_composition(monkeypatch):
     # the Young chamber of (1, 2) at the identity repeats the block {2,3}
     _plant_compose_basis(monkeypatch, _larger_block_on_subset)
     cfg = verify.Config(max_n=3, max_support=3)
-    agreement = next(r for r in verify.suite_oracle(cfg) if r.law == "composition-agreement")
+    agreement = next(
+        r for r in verify.run_suite("oracle", cfg) if r.law == "composition-agreement"
+    )
     assert agreement.line() == (
         "FAIL [oracle] composition-agreement: a=1*[{1,2}], b=1*[{1}|{2}]"
     )
-    young = next(r for r in verify.suite_shuffles(cfg) if r.law == "young-factorization")
+    young = next(r for r in verify.run_suite("shuffles", cfg) if r.law == "young-factorization")
     assert young.line() == (
         "FAIL [shuffles] young-factorization: type (1, 2), sigma=(1, 2, 3):"
         " SetComposition[{1}|{2,3}|{2,3}] is not a chamber"

@@ -42,8 +42,11 @@ def test_a_sweep_with_no_case_is_vacuous_not_a_pass():
 
 
 def test_single_and_trial_helpers():
-    assert _single("s", "law", lambda: None, "fixed").line() == "PASS [s] law: fixed"
-    assert _single("s", "law", lambda: "got 1", "fixed").line() == "FAIL [s] law: got 1"
+    def swept(check):
+        return _sweep("s", *_single("law", check, "fixed")).line()
+
+    assert swept(lambda: None) == "PASS [s] law: fixed"
+    assert swept(lambda: "got 1") == "FAIL [s] law: got 1"
     check = _trial(lambda x: None if x else "x=0")
     assert check("trial 4", 1) is None
     assert check("trial 4", 0) == "trial 4: x=0"
