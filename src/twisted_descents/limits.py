@@ -3,8 +3,8 @@
 A caller can move only one cap: ``max_terms`` (default ``MAX_TERMS``) of
 ``convolution``, ``composition_product`` and ``coproduct``, set by the CLI's
 ``--max-terms`` and ``TDA_MAX_TERMS``.  Every other cap is a constant here;
-``verify`` moves none, and refuses a sweep size past one before its first
-case.  ``VERIFY_CASE_CAP`` bounds what a verify law may plan: ``verify
+``verify`` moves none, and refuses a sweep size past one of them before its
+first case.  ``VERIFY_CASE_CAP`` bounds what a verify law may plan: ``verify
 dims`` refuses more set compositions than it, summed over the weights it
 would enumerate.
 """
