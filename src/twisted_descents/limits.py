@@ -12,8 +12,8 @@ would enumerate.
 # Largest ground-set label accepted anywhere.
 MAX_LABEL = 2**32 - 1
 
-# Largest set whose ordered partitions we will enumerate.
-# Fubini(10) is around 1e8, the practical desk limit.
+# Largest ground set enumerate_set_compositions accepts; it bounds that
+# function only.  Fubini(10) is around 1e8, the practical desk limit.
 ENUMERATION_CAP = 10
 
 # Refuse coproducts (and basis expansions) producing more terms than this.

@@ -3,9 +3,9 @@
 Words α_S1···α_Sk over pairwise-disjoint finite sets span a free twisted
 algebra; its coproduct deshuffles letter positions (letters are primitive).
 A set composition acts on this algebra as the convolution of the
-characteristic projections of its blocks.  Building those endomorphisms as
-explicit tables over every word of a small universe gives an independent
-model against which the symbolic products are checked.
+characteristic projections of its blocks.  Tabulating those endomorphisms on
+every word of a universe of at most ``ORACLE_SUPPORT_CAP`` labels gives an
+independent model against which the symbolic products are checked.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping
 
-from .algebra import TDElement
-from .limits import ENUMERATION_CAP, ORACLE_SUPPORT_CAP, check_size
+from .algebra import TDElement, basis, composition_product
+from .limits import ORACLE_SUPPORT_CAP, check_size
 from .setcomp import (
     SetComposition,
     check_ground_set,
@@ -64,7 +64,7 @@ def _splits(u: BWord) -> tuple[tuple[tuple[BWord, BWord], int], ...]:
 
 @lru_cache(maxsize=None)
 def _words_of(universe: tuple[int, ...]) -> tuple[BWord, ...]:
-    check_size("word-table universe size", len(universe), ENUMERATION_CAP)
+    check_size("word-table universe size", len(universe), ORACLE_SUPPORT_CAP)
     out = []
     for r in range(len(universe) + 1):
         for sub in itertools.combinations(universe, r):
@@ -81,9 +81,7 @@ def _coproducts_of(universe: tuple[int, ...]) -> Mapping[BWord, tuple]:
 
 def all_words(universe: Iterable[int]) -> tuple[BWord, ...]:
     """Every word whose support is a subset of the universe."""
-    ground = check_ground_set(universe)
-    check_size("word-table universe size", len(ground), ORACLE_SUPPORT_CAP)
-    return _words_of(tuple(sorted(ground)))
+    return _words_of(tuple(sorted(check_ground_set(universe))))
 
 
 class Endomorphism:
@@ -199,10 +197,7 @@ def oracle_check_composition(
     universe: Iterable[int] | None = None,
 ) -> bool:
     """Compare symbolic a ∘ b with endomorphism composition, tablewise."""
-    from .algebra import basis, composition_product
-
     ground = check_ground_set(universe if universe is not None else a.support | b.support)
-    check_size("oracle universe size", len(ground), ORACLE_SUPPORT_CAP)
     lhs = endo_compose(represent(a, ground), represent(b, ground))
     rhs = endo_of(composition_product(basis(a), basis(b)), ground)
     return lhs == rhs

@@ -71,20 +71,23 @@ def test_all_words_counts():
 
 
 @pytest.mark.parametrize("build", [
+    all_words,
     lambda universe: characteristic_endo((), universe),
     lambda universe: endo_of(basis(word({1})), universe),
     lambda universe: represent(word({1}), universe),
-], ids=["characteristic_endo", "endo_of", "represent"])
+    lambda universe: oracle_check_composition(word({1}), word({1}), universe=universe),
+], ids=["all_words", "characteristic_endo", "endo_of", "represent", "oracle_check_composition"])
 def test_word_tables_are_refused_before_enumeration(build, monkeypatch):
-    # F(11) is about 1.6e9 words: the cap must fire before any is built
+    # every word table meets ORACLE_SUPPORT_CAP before its first word is built
     def enumerate_nothing(*args, **kwargs):
         raise AssertionError("word enumeration started")
 
     monkeypatch.setattr(oracle, "enumerate_set_compositions", enumerate_nothing)
-    with pytest.raises(SizeLimitError) as err:
-        build(range(1, 12))
-    assert str(err.value) == "word-table universe size: 11 requested, cap 10"
-    assert (err.value.cap, err.value.requested) == (10, 11)
+    for n in (5, 11):
+        with pytest.raises(SizeLimitError) as err:
+            build(range(1, n + 1))
+        assert str(err.value) == f"word-table universe size: {n} requested, cap 4"
+        assert (err.value.cap, err.value.requested) == (4, n)
 
 
 def test_characteristic_endo_projects():
