@@ -140,8 +140,8 @@ def cmd_young(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    # Imported here: no arithmetic command runs the verifier, and loading it
-    # (with dataclasses and inspect) is most of the CLI's import time.
+    # Imported here: no arithmetic command runs the verifier, so none of them
+    # pays for loading it.
     from .verify import Config, SUITES, run_suite
 
     if args.suite != "all" and args.suite not in SUITES:

@@ -6,7 +6,8 @@ A caller can move only one cap: ``max_terms`` (default ``MAX_TERMS``) of
 ``verify`` moves none, and refuses a sweep size past one of them before its
 first case.  ``VERIFY_CASE_CAP`` bounds what a verify law may plan: ``verify
 dims`` refuses more set compositions than it, summed over the weights it
-would enumerate.
+would enumerate.  ``SOLOMON_WORK_CAP`` bounds ``solomon_compose`` before it
+builds its first matrix.
 """
 
 # Largest ground-set label accepted anywhere.
@@ -24,6 +25,10 @@ ORACLE_SUPPORT_CAP = 4
 
 # Largest weight whose orbit-sum subalgebra fixed_space_check checks.
 FIXED_SPACE_CAP = 5
+
+# Largest w + log2(term pairs) solomon_compose takes on two weight-w
+# elements; the matrices of one pair grow like 2^w.
+SOLOMON_WORK_CAP = 13
 
 # Most cases a verify law may plan.  The default sweeps stay under 1.6e6.
 VERIFY_CASE_CAP = 10**7

@@ -184,17 +184,14 @@ def enumerate_set_compositions(s: Iterable[int]) -> Iterator[SetComposition]:
 
 
 def count_set_compositions(n: int) -> int:
-    """Fubini number: ordered set partitions of an n-set, via k! * Stirling2(n,k)."""
+    """Fubini number: ordered set partitions of an n-set, by the first-block
+    recurrence F(m) = sum over k = 1..m of C(m, k) * F(m - k), F(0) = 1."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    # Stirling numbers of the second kind by the standard recurrence.
-    stirling = [1] + [0] * n
-    for row in range(1, n + 1):
-        new = [0] * (n + 1)
-        for k in range(1, row + 1):
-            new[k] = k * stirling[k] + stirling[k - 1]
-        stirling = new
-    return sum(math.factorial(k) * stirling[k] for k in range(n + 1))
+    fubini = [1]
+    for m in range(1, n + 1):
+        fubini.append(sum(math.comb(m, k) * fubini[m - k] for k in range(1, m + 1)))
+    return fubini[n]
 
 
 def interval_partition(parts: Iterable[int]) -> tuple[frozenset[int], ...]:
@@ -211,34 +208,16 @@ def interval_partition(parts: Iterable[int]) -> tuple[frozenset[int], ...]:
     return tuple(out)
 
 
-def is_increasing_partition(parts: Iterable[frozenset[int]], n: int) -> bool:
-    """True iff ``parts`` partitions {1..n} with max(S_i) < min(S_j) for i < j."""
-    parts = tuple(parts)
-    total: set[int] = set()
-    prev_max = 0
-    for p in parts:
-        if not p:
-            return False
-        if total & p:
-            return False
-        if min(p) <= prev_max:
-            return False
-        prev_max = max(p)
-        total |= p
-    return total == set(range(1, n + 1))
-
-
 def as_increasing_partition(parts) -> tuple[frozenset[int], ...]:
     """Normalize ``parts``: a composition gives consecutive intervals of [n].
 
     Accepts either block sizes (ints) or an explicit sequence of sets, which
-    must then form an increasing partition of {1..n}.
+    must then form an increasing partition of {1..n}: the intervals of their sizes.
     """
     parts = tuple(parts)
     if all(isinstance(p, int) and not isinstance(p, bool) for p in parts):
         return interval_partition(parts)
     out = tuple(map(check_ground_set, parts))
-    n = sum(len(p) for p in out)
-    if not is_increasing_partition(out, n):
-        raise ValueError(f"{parts!r} is not an increasing partition of [{n}]")
+    if not all(out) or out != interval_partition(map(len, out)):
+        raise ValueError(f"{parts!r} is not an increasing partition of [{sum(map(len, out))}]")
     return out

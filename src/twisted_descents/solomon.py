@@ -23,7 +23,7 @@ from .algebra import (
     composition_product,
     permutation_basis,
 )
-from .limits import FIXED_SPACE_CAP, MAX_TERMS, check_size
+from .limits import FIXED_SPACE_CAP, MAX_TERMS, SOLOMON_WORK_CAP, check_size
 from .permutations import (
     check_permutation,
     compose,
@@ -136,8 +136,13 @@ def solomon_compose(a: DescentElement, b: DescentElement) -> DescentElement:
     """Solomon's rule: sum over matrices with prescribed row and column sums.
 
     Each matrix is flattened row by row, dropping zero entries.  Pairs of
-    different weights contribute nothing.
+    different weights contribute nothing.  Two weight-w operands are refused
+    past ``SOLOMON_WORK_CAP`` on w + log2(term pairs), before any matrix.
     """
+    w = a.weight
+    if w is not None and w == b.weight:
+        work = w + (len(a) * len(b) - 1).bit_length()
+        check_size("Solomon's rule weight + log2(term pairs)", work, SOLOMON_WORK_CAP)
     acc: dict[tuple[int, ...], int] = {}
     for c1, x1 in a._terms.items():
         for c2, x2 in b._terms.items():

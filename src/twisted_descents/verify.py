@@ -31,8 +31,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from . import oracle as orc, solomon as sol
 from .algebra import (
@@ -78,8 +77,7 @@ from .solomon import (
 from .textio import render, render_tensor
 
 
-@dataclass(frozen=True)
-class LawResult:
+class LawResult(NamedTuple):
     suite: str
     law: str
     ok: bool
@@ -91,8 +89,7 @@ class LawResult:
         return f"{status} [{self.suite}] {self.law}: {self.detail}"
 
 
-@dataclass
-class Config:
+class Config(NamedTuple):
     max_n: int | None = None
     max_support: int | None = None
     trials: int | None = None

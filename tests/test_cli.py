@@ -134,6 +134,13 @@ def test_cap_exit_code(capsys):
     assert "size limit" in err
 
 
+def test_solomon_refuses_past_its_work_cap(capsys):
+    ones = ",".join(["1"] * 14)
+    code, out, err = run(capsys, "solomon", ones, ones)
+    assert (code, out) == (EXIT_CAP, "")
+    assert err == "size limit: Solomon's rule weight + log2(term pairs): 14 requested, cap 13\n"
+
+
 def test_env_cap_and_flag_precedence(capsys, monkeypatch):
     monkeypatch.setenv("TDA_MAX_TERMS", "16")
     code, _, _ = run(capsys, "coprod", "[{1,2,3,4,5}]")
@@ -337,6 +344,18 @@ def test_cli_import_leaves_the_verifier_unloaded():
         "reciprocity, remarkable, oracle, solomon, equivariance, shuffles, "
         "fixed-space, dims, all\n"
     )
+
+
+def test_verifier_import_loads_no_dataclasses_or_inspect():
+    # its two records are plain named tuples
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import twisted_descents.verify\n"
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert (proc.stdout, proc.stderr) == ("[]\n", "")
 
 
 def test_verify_respects_caps(capsys, monkeypatch):

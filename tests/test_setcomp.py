@@ -9,7 +9,6 @@ from twisted_descents.setcomp import (
     count_set_compositions,
     enumerate_set_compositions,
     interval_partition,
-    is_increasing_partition,
     multinomial,
     type_of,
 )
@@ -51,8 +50,10 @@ def test_equality_and_hash():
 
 
 def test_enumeration_counts_match_stirling_oracle():
-    # Fubini numbers via k! * Stirling2(n, k) on one side, direct listing on the other.
-    assert [count_set_compositions(n) for n in range(6)] == [1, 1, 3, 13, 75, 541]
+    # Fubini numbers (OEIS A000670) by their recurrence on one side, direct listing on the other.
+    assert [count_set_compositions(n) for n in range(11)] == [
+        1, 1, 3, 13, 75, 541, 4683, 47293, 545835, 7087261, 102247563,
+    ]
     for n in range(6):
         listed = list(enumerate_set_compositions(range(1, n + 1)))
         assert len(listed) == count_set_compositions(n)
@@ -114,13 +115,27 @@ def test_multinomial():
 def test_interval_partition():
     assert interval_partition((2, 2)) == (frozenset({1, 2}), frozenset({3, 4}))
     assert interval_partition(()) == ()
-    assert is_increasing_partition(interval_partition((3, 1, 2)), 6)
 
 
 def test_as_increasing_partition():
     assert as_increasing_partition((2, 1)) == (frozenset({1, 2}), frozenset({3}))
     assert as_increasing_partition(({1, 2}, {3})) == (frozenset({1, 2}), frozenset({3}))
-    with pytest.raises(ValueError):
-        as_increasing_partition(({2, 3}, {1}))
-    with pytest.raises(ValueError):
-        as_increasing_partition(({1, 3}, {2}))
+    blocks = interval_partition((2, 2, 1))
+    assert as_increasing_partition(blocks) == blocks
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (({2, 3}, {1}), "({2, 3}, {1}) is not an increasing partition of [3]"),
+        (({1, 3}, {2}), "({1, 3}, {2}) is not an increasing partition of [3]"),
+        (({1, 2}, set()), "({1, 2}, set()) is not an increasing partition of [2]"),
+        (({1}, {1, 2}), "({1}, {1, 2}) is not an increasing partition of [3]"),
+        (({2},), "({2},) is not an increasing partition of [1]"),
+    ],
+)
+def test_as_increasing_partition_refuses_other_blocks(bad, message):
+    # blocks that are not the intervals of their own sizes, named as given
+    with pytest.raises(ValueError) as err:
+        as_increasing_partition(bad)
+    assert str(err.value) == message

@@ -105,6 +105,22 @@ def test_solomon_product_worked_examples():
     assert solomon_compose(one((1,)), one((1, 1))) == DescentElement({})
 
 
+def test_solomon_is_capped_before_its_first_matrix(monkeypatch):
+    ones = one((1,) * 14)
+    with pytest.raises(SizeLimitError) as err:
+        solomon_compose(ones, ones)
+    assert (err.value.cap, err.value.requested) == (13, 14)
+    assert solomon_compose(one((13,)), one((13,))) == one((13,))
+
+    def no_matrices(rows, cols):
+        raise AssertionError("a matrix was built")
+
+    monkeypatch.setattr(solomon, "_flattened_matrices", no_matrices)
+    with pytest.raises(SizeLimitError) as err:
+        solomon_compose(ones, ones)
+    assert (err.value.cap, err.value.requested) == (13, 14)
+
+
 def test_solomon_unit_and_associativity():
     for n in range(1, 6):
         e = one((n,))
