@@ -572,19 +572,22 @@ def act(x: TDElement, p: Iterable[int]) -> TDElement:
 
     1_(S1,...,Sk) · p = 1_(p⁻¹(S1),...,p⁻¹(Sk)); requires every support to
     lie inside {1..n} for n = degree of p.  Satisfies
-    act(act(x, p), q) = act(x, compose(p, q)).
+    act(act(x, p), q) = act(x, compose(p, q)).  Each distinct block is
+    pulled back once per call.
     """
     p = check_permutation(p)
     n = len(p)
-    inv = inverse(p)
+    back = (0, *inverse(p)).__getitem__
+    pulled: dict[frozenset[int], frozenset[int]] = {}
     acc: dict = {}
     for sc, coeff in x._terms.items():
-        if any(v > n for v in sc.support):
-            raise ValueError(
-                f"support {sorted(sc.support)} not contained in 1..{n}"
-            )
-        sets = tuple(frozenset(inv[v - 1] for v in b) for b in sc.sets)
-        support = frozenset(inv[v - 1] for v in sc.support)
-        key = SetComposition._make(sets, support)
+        if max(sc.support, default=0) > n:
+            raise ValueError(f"support {sorted(sc.support)} not contained in 1..{n}")
+        sets = []
+        for b in sc.sets:
+            if b not in pulled:
+                pulled[b] = frozenset(map(back, b))
+            sets.append(pulled[b])
+        key = SetComposition._make(tuple(sets), frozenset(map(back, sc.support)))
         acc[key] = acc.get(key, 0) + coeff
     return TDElement._make(_clean(acc))

@@ -11,6 +11,7 @@ three pictures and the Young/shuffle factorization of permutations.
 from __future__ import annotations
 
 import itertools
+from operator import sub
 from typing import Iterable, Iterator, Mapping
 
 from .algebra import (
@@ -21,14 +22,12 @@ from .algebra import (
     chamber_word,
     compose_basis,
     composition_product,
-    permutation_basis,
 )
 from .limits import FIXED_SPACE_CAP, MAX_TERMS, SOLOMON_WORK_CAP, check_size
 from .permutations import (
     check_permutation,
     compose,
     descent_class as _descent_class_perms,
-    identity,
     inverse,
     symmetric_group,
 )
@@ -94,40 +93,34 @@ class GroupAlgebraElement(_Graded):
     degree = property(_Graded._grade_of)
 
 
-def _row_fill(total: int, capacity: list[int]) -> Iterator[tuple[int, ...]]:
-    """Vectors v with sum(v) = total and v[j] <= capacity[j], lexicographically."""
-    if not capacity:
-        if total == 0:
-            yield ()
-        return
-    for first in range(min(total, capacity[0]) + 1):
-        for rest in _row_fill(total - first, capacity[1:]):
-            yield (first,) + rest
-
-
 def _flattened_matrices(rows: tuple[int, ...], cols: tuple[int, ...]) -> dict[tuple[int, ...], int]:
     """Count the matrices with the given margins by their flattened nonzero entries.
 
     Fills one row at a time; partial matrices that leave the same column
     sums and the same flattened prefix are merged into one counted state.
-    The last row is forced to the remaining column sums.  Keys appear in the
-    order of their first matrix in row-major lexicographic order.  The
-    margins must have equal sums.
+    Each row joins a left half of entries up to min(row sum, column left)
+    with the right halves whose sums complete it; the last row is forced to
+    the remaining column sums.  Keys appear in the order of their first
+    matrix in row-major lexicographic order.  The margins must have equal sums.
     """
     states: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {(cols, ()): 1}
     for total in rows[:-1]:
         nxt: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
         for (remaining, prefix), count in states.items():
-            for row in _row_fill(total, remaining):
-                key = (
-                    tuple(r - v for r, v in zip(remaining, row)),
-                    prefix + tuple(v for v in row if v),
-                )
-                nxt[key] = nxt.get(key, 0) + count
+            ranges = [range(min(total, r) + 1) for r in remaining]
+            half = len(ranges) // 2
+            rights: dict[int, list[tuple[int, ...]]] = {}
+            for right in itertools.product(*ranges[half:]):
+                rights.setdefault(sum(right), []).append(right)
+            for left in itertools.product(*ranges[:half]):
+                for right in rights.get(total - sum(left), ()):
+                    row = left + right
+                    key = (tuple(map(sub, remaining, row)), prefix + tuple(filter(None, row)))
+                    nxt[key] = nxt.get(key, 0) + count
         states = nxt
     out: dict[tuple[int, ...], int] = {}
     for (remaining, prefix), count in states.items():
-        key = prefix + tuple(v for v in remaining if v)
+        key = prefix + tuple(filter(None, remaining))
         out[key] = out.get(key, 0) + count
     return out
 
@@ -224,14 +217,17 @@ def star(x: GroupAlgebraElement) -> GroupAlgebraElement:
     return GroupAlgebraElement._make({inverse(p): c for p, c in x._terms.items()})
 
 
-def _cut_chamber(parts, p: Iterable[int]) -> tuple[SetComposition, tuple[int, ...]]:
-    """The chamber 1_(S1,...,Sk) o 1_p, and p checked against the partition of [n]."""
+def _cut_chamber(parts, p: Iterable[int]) -> tuple[SetComposition, tuple[int, ...], tuple]:
+    """1_(S1,...,Sk) o 1_p, p checked against the partition of [n], and the
+    identity chamber's blocks ({1},...,{n}), whose objects the chamber shares."""
     blocks = as_increasing_partition(parts)
     p = check_permutation(p)
-    n = sum(len(b) for b in blocks)
+    n = sum(map(len, blocks))
     if len(p) != n:
         raise ValueError(f"permutation degree {len(p)} does not match partition of [{n}]")
-    return compose_basis(SetComposition(blocks), permutation_basis(p)), p
+    singles = tuple(map(frozenset, zip(range(1, n + 1))))
+    word = SetComposition._make(tuple([singles[v - 1] for v in p]), frozenset(p))
+    return compose_basis(SetComposition._make(blocks, word.support), word), p, singles
 
 
 def shuffle_test(parts, p: Iterable[int]) -> bool:
@@ -240,8 +236,8 @@ def shuffle_test(parts, p: Iterable[int]) -> bool:
     Decided by the composition product: p is a shuffle exactly when
     1_(S1,...,Sk) o 1_p is the identity chamber ({1},...,{n}).
     """
-    cham, p = _cut_chamber(parts, p)
-    return cham == permutation_basis(identity(len(p)))
+    cham, _, singles = _cut_chamber(parts, p)
+    return cham.sets == singles
 
 
 def young_decompose(parts, p: Iterable[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -250,7 +246,7 @@ def young_decompose(parts, p: Iterable[int]) -> tuple[tuple[int, ...], tuple[int
     beta is read off the chamber 1_(S1,...,Sk) o 1_p positionally; then
     tau = beta^{-1} . p.
     """
-    cham, p = _cut_chamber(parts, p)
+    cham, p, _ = _cut_chamber(parts, p)
     beta = chamber_word(cham)
     tau = compose(inverse(beta), p)
     return beta, tau

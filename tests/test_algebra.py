@@ -257,6 +257,18 @@ def test_act_examples():
         act(parse("[{1,3}]"), (2, 1))
     with pytest.raises(ValueError, match=r"^permutation entry 1\.0 is not an integer$"):
         act(basis([[1]]), [1.0])
+    beside_empty = TDElement({EMPTY: 1, SetComposition([[1, 3]]): 2})
+    with pytest.raises(ValueError, match=r"^support \[1, 3\] not contained in 1\.\.2$"):
+        act(beside_empty, (2, 1))
+
+
+def test_act_on_terms_sharing_blocks_is_the_sum_over_its_terms():
+    x = parse("[{1,2}|{3}|{4}] - 2*[{3}|{1,2}|{4}] + [{4}|{3}|{1,2}] + 5*[{1,2}|{3,4}]")
+    for s in symmetric_group(4):
+        termwise = TDElement({})
+        for sc, c in x.terms.items():
+            termwise = termwise + c * act(basis(sc), s)
+        assert act(x, s) == termwise
 
 
 def test_act_is_a_right_action():

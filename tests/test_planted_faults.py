@@ -172,11 +172,15 @@ def _solomon_by_brute_force(c1, c2):
 
 
 def test_solomon_matches_brute_force_margin_matrices():
+    # The brute force meets the matrices in row-major lexicographic order, so
+    # its keys come in the order of their first matrix, as the kernel promises.
     for m in range(6):
         comps = list(compositions(m))
         for c1, c2 in itertools.product(comps, repeat=2):
+            want = _solomon_by_brute_force(c1, c2)
+            assert list(solomon._flattened_matrices(c1, c2).items()) == list(want.items())
             got = solomon_compose(DescentElement({c1: 1}), DescentElement({c2: 1}))
-            assert got.terms == _solomon_by_brute_force(c1, c2), (c1, c2)
+            assert got.terms == want, (c1, c2)
 
 
 def test_mutating_a_word_coproduct_leaves_the_memo_intact():
@@ -655,6 +659,49 @@ def test_a_leg_support_index_that_drops_terms_survives_verify_all(monkeypatch):
     cancelling = TDElement({SetComposition([[1], [2]]): 1, SetComposition([[1, 2]]): -1})
     with pytest.raises(AssertionError):
         check(cancelling, TDElement({}), TDElement({}), TDElement({}))
+
+
+# Kill-matrix rows for Solomon's matrices and the right action.
+def _matrices_below_top(rows, cols):
+    """``_flattened_matrices`` with every column range one below its top value."""
+    states = {(cols, ()): 1}
+    for total in rows[:-1]:
+        nxt = {}
+        for (remaining, prefix), count in states.items():
+            for row in itertools.product(*[range(min(total, r)) for r in remaining]):
+                if sum(row) == total:
+                    key = (tuple(r - v for r, v in zip(remaining, row)),
+                           prefix + tuple(v for v in row if v))
+                    nxt[key] = nxt.get(key, 0) + count
+        states = nxt
+    out = {}
+    for (remaining, prefix), count in states.items():
+        key = prefix + tuple(v for v in remaining if v)
+        out[key] = out.get(key, 0) + count
+    return out
+
+
+def _margins_swapped(rows, cols, real=solomon._flattened_matrices):
+    return real(cols, rows)
+
+
+def _act_through_p(x, p, real=algebra.act):
+    """The right action with blocks pulled back through p, not p⁻¹."""
+    return real(x, permutations.inverse(permutations.check_permutation(p)))
+
+
+@pytest.mark.parametrize("name, kernel, killers", [
+    ("_flattened_matrices", _matrices_below_top, {
+        "solomon/truncation", "solomon/unit", "fixed-space/invariant-subalgebra",
+    }),
+    ("_flattened_matrices", _margins_swapped, {
+        "solomon/truncation", "fixed-space/invariant-subalgebra",
+    }),
+    ("act", _act_through_p, {"equivariance/right-action"}),
+], ids=["ranges-below-top", "margins-swapped", "act-through-p"])
+def test_solomon_and_action_mutant_is_killed(monkeypatch, name, kernel, killers):
+    _plant(monkeypatch, name, kernel)
+    assert _killing_laws() == killers
 
 
 # Kill-matrix rows for the descent classes, planted through the name solomon calls.
