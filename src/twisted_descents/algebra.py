@@ -156,6 +156,9 @@ class _Linear:
     def coefficient(self, key) -> int:
         return self._terms.get(key, 0)
 
+    def __iter__(self) -> Iterator:
+        return ((key, c) for _, key, _, c in self._rows())
+
     def __len__(self) -> int:
         return len(self._terms)
 
@@ -180,9 +183,6 @@ class TDElement(_Linear):
             rows.append((canonical_key(len(sc.support), blocks), sc, blocks, c))
         rows.sort(key=itemgetter(0))
         return rows
-
-    def __iter__(self) -> Iterator[tuple[SetComposition, int]]:
-        return ((sc, c) for _, sc, _, c in self._rows())
 
     def __mul__(self, other):
         if isinstance(other, TDElement):
@@ -225,9 +225,6 @@ class TensorElement(_Linear):
             rows.append((key, pair, (lb, rb), c))
         rows.sort(key=itemgetter(0))
         return rows
-
-    def __iter__(self) -> Iterator[tuple[tuple[SetComposition, SetComposition], int]]:
-        return ((pair, c) for _, pair, _, c in self._rows())
 
     def swap(self) -> "TensorElement":
         """Exchange the tensor legs."""

@@ -17,11 +17,7 @@ from typing import Callable, Iterable, Mapping
 
 from .algebra import TDElement, basis, composition_product
 from .limits import ORACLE_SUPPORT_CAP, check_size
-from .setcomp import (
-    SetComposition,
-    check_ground_set,
-    enumerate_set_compositions,
-)
+from .setcomp import SetComposition, check_ground_set
 
 # A word in the letters α_S has exactly the shape of a set composition:
 # an ordered sequence of pairwise-disjoint nonempty sets.
@@ -64,11 +60,18 @@ def _splits(u: BWord) -> tuple[tuple[tuple[BWord, BWord], int], ...]:
 
 @lru_cache(maxsize=None)
 def _words_of(universe: tuple[int, ...]) -> tuple[BWord, ...]:
+    # Each subset's words, subsets by size: the maps of its labels onto blocks 0..k-1.
     check_size("word-table universe size", len(universe), ORACLE_SUPPORT_CAP)
     out = []
     for r in range(len(universe) + 1):
         for sub in itertools.combinations(universe, r):
-            out.extend(enumerate_set_compositions(sub))
+            words = []
+            for hit in itertools.product(range(r), repeat=r):
+                k = len(set(hit))
+                if max(hit, default=-1) == k - 1:
+                    sets = tuple(frozenset(x for x, j in zip(sub, hit) if j == i) for i in range(k))
+                    words.append(SetComposition._make(sets, frozenset(sub)))
+            out.extend(sorted(words, key=lambda w: w.sort_key))
     return tuple(out)
 
 
@@ -85,31 +88,32 @@ def all_words(universe: Iterable[int]) -> tuple[BWord, ...]:
 
 
 class Endomorphism:
-    """A grading-preserving linear map, tabulated on every universe word."""
+    """A grading-preserving linear map; ``table`` holds the nonzero image of each
+    universe word it does not kill, whatever table ``__init__`` was given."""
 
     __slots__ = ("universe", "table")
 
     def __init__(self, universe: frozenset[int], table: dict):
         self.universe = universe
-        self.table = table
+        self.table = {w: row for w, img in table.items()
+                      if (row := {k: c for k, c in img.items() if c})}
 
     def __call__(self, w: BWord) -> BElement:
-        return self.table[w]
+        if not w.support <= self.universe:
+            raise KeyError(w)
+        return self.table.get(w, {})
 
     def apply(self, x: BElement) -> BElement:
         out: BElement = {}
         for w, c in x.items():
-            for w2, c2 in self.table[w].items():
+            for w2, c2 in (self.table.get(w) or self(w)).items():
                 out[w2] = out.get(w2, 0) + c * c2
         return {w: c for w, c in out.items() if c}
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Endomorphism):
             return NotImplemented
-        if self.universe != other.universe:
-            return False
-        keys = set(self.table) | set(other.table)
-        return all(self.table.get(k, {}) == other.table.get(k, {}) for k in keys)
+        return self.universe == other.universe and self.table == other.table
 
     __hash__ = None
 
@@ -131,11 +135,8 @@ def characteristic_endo(s: Iterable[int], universe: Iterable[int]) -> Endomorphi
     ground = check_ground_set(universe)
     if not s <= ground:
         raise ValueError(f"degree {sorted(s)} not inside universe {sorted(ground)}")
-    table = {
-        w: ({w: 1} if w.support == s else {})
-        for w in _words_of(tuple(sorted(ground)))
-    }
-    return Endomorphism(ground, table)
+    words = _words_of(tuple(sorted(ground)))
+    return Endomorphism(ground, {w: {w: 1} for w in words if w.support == s})
 
 
 def endo_convolution(f: Endomorphism, g: Endomorphism) -> Endomorphism:
@@ -143,14 +144,14 @@ def endo_convolution(f: Endomorphism, g: Endomorphism) -> Endomorphism:
     _require_same_universe(f, g)
     coproducts = _coproducts_of(tuple(sorted(f.universe)))
     table = {}
-    for w in f.table:
-        img: BElement = {}
-        for (u, v), c in coproducts[w]:
-            for wu, cu in f.table[u].items():
-                for wv, cv in g.table[v].items():
-                    word = b_product(wu, wv)
-                    img[word] = img.get(word, 0) + c * cu * cv
-        table[w] = {k: c for k, c in img.items() if c}
+    for w, splits in coproducts.items():
+        table[w] = img = {}
+        for (u, v), c in splits:
+            if u in f.table and v in g.table:
+                for wu, cu in f.table[u].items():
+                    for wv, cv in g.table[v].items():
+                        word = b_product(wu, wv)
+                        img[word] = img.get(word, 0) + c * cu * cv
     return Endomorphism(f.universe, table)
 
 
@@ -179,16 +180,14 @@ def endo_of(
     """Linear combination of represented basis elements; ``represent_of``, if
     given, stands in for ``represent``, for example to read a memo of it."""
     ground = check_ground_set(universe)
-    table: dict = {w: {} for w in _words_of(tuple(sorted(ground)))}
+    _words_of(tuple(sorted(ground)))  # the word-table cap, even for a zero x
+    table: dict = {}
     for sc, coeff in x.terms.items():
-        part = (represent_of or represent)(sc, ground)
-        for w, img in part.table.items():
-            row = table[w]
+        for w, img in (represent_of or represent)(sc, ground).table.items():
+            row = table.setdefault(w, {})
             for w2, c in img.items():
                 row[w2] = row.get(w2, 0) + coeff * c
-    return Endomorphism(
-        ground, {w: {k: c for k, c in row.items() if c} for w, row in table.items()}
-    )
+    return Endomorphism(ground, table)
 
 
 def oracle_check_composition(

@@ -128,19 +128,18 @@ def _flattened_matrices(rows: tuple[int, ...], cols: tuple[int, ...]) -> dict[tu
 def solomon_compose(a: DescentElement, b: DescentElement) -> DescentElement:
     """Solomon's rule: sum over matrices with prescribed row and column sums.
 
-    Each matrix is flattened row by row, dropping zero entries.  Pairs of
-    different weights contribute nothing.  Two weight-w operands are refused
+    Each matrix is flattened row by row, dropping zero entries.  Operands of
+    different weights, or a zero one, give zero.  Two weight-w operands are refused
     past ``SOLOMON_WORK_CAP`` on w + log2(term pairs), before any matrix.
     """
     w = a.weight
-    if w is not None and w == b.weight:
-        work = w + (len(a) * len(b) - 1).bit_length()
-        check_size("Solomon's rule weight + log2(term pairs)", work, SOLOMON_WORK_CAP)
+    if w is None or w != b.weight:
+        return DescentElement._make({})
+    work = w + (len(a) * len(b) - 1).bit_length()
+    check_size("Solomon's rule weight + log2(term pairs)", work, SOLOMON_WORK_CAP)
     acc: dict[tuple[int, ...], int] = {}
     for c1, x1 in a._terms.items():
         for c2, x2 in b._terms.items():
-            if sum(c1) != sum(c2):
-                continue
             coeff = x1 * x2
             for key, count in _flattened_matrices(c1, c2).items():
                 acc[key] = acc.get(key, 0) + coeff * count

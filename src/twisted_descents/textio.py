@@ -233,22 +233,22 @@ def _join_terms(parts: list[tuple[int, str]]) -> str:
 
 
 class _BlockTexts(dict):
-    """Block frozenset -> its ``{a,b,...}`` text, built on first lookup.
+    """Ascending block tuple -> its ``{a,b,...}`` text, built on first lookup.
 
-    The terms of one product share most of their block objects.
+    The terms of one product share most of their blocks.
     """
 
-    def __missing__(self, block: frozenset[int]) -> str:
-        text = self[block] = "{" + ",".join(map(str, sorted(block))) + "}"
+    def __missing__(self, block: tuple[int, ...]) -> str:
+        text = self[block] = "{" + ",".join(map(str, block)) + "}"
         return text
 
 
 def _bracket_renderer():
-    """A ``[{..}|{..}]`` renderer that builds the text of each distinct block once."""
+    """A ``[{..}|{..}]`` renderer of ascending blocks that builds each block's text once."""
     text = _BlockTexts().__getitem__
 
-    def bracket(sc: SetComposition) -> str:
-        return "[" + "|".join(map(text, sc.sets)) + "]"
+    def bracket(blocks: tuple[tuple[int, ...], ...]) -> str:
+        return "[" + "|".join(map(text, blocks)) + "]"
 
     return bracket
 
@@ -256,13 +256,13 @@ def _bracket_renderer():
 def render(x: TDElement) -> str:
     """Canonical text for an element; the zero element renders as ``0``."""
     bracket = _bracket_renderer()
-    return _join_terms([(c, bracket(sc)) for _, sc, _, c in x._rows()])
+    return _join_terms([(c, bracket(blocks)) for _, _, blocks, c in x._rows()])
 
 
 def render_tensor(x: TensorElement, ascii_only: bool = False) -> str:
     sep = "(x)" if ascii_only else "⊗"
     bracket = _bracket_renderer()
-    return _join_terms([(c, bracket(l) + sep + bracket(r)) for _, (l, r), _, c in x._rows()])
+    return _join_terms([(c, bracket(lb) + sep + bracket(rb)) for _, _, (lb, rb), c in x._rows()])
 
 
 def element_to_json(x: TDElement) -> dict:

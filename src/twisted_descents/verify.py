@@ -53,7 +53,7 @@ from .algebra import (
     tensor_composition,
     tensor_convolution,
 )
-from .limits import FIXED_SPACE_CAP, VERIFY_CASE_CAP, check_size
+from .limits import FIXED_SPACE_CAP, VERIFY_CASE_CAP, SizeLimitError, check_size
 from .permutations import compose, symmetric_group, young_subgroup
 from .setcomp import (
     SetComposition,
@@ -114,13 +114,19 @@ def _sweep(
 ) -> LawResult:
     """The first counterexample ``check`` finds among ``cases``, else a PASS
     whose detail is ``summary`` of the number of cases checked, or a VACUOUS
-    result when there was no case."""
+    result when there was no case.  An exception out of drawing or checking
+    case i fails the law on it; a ``SizeLimitError`` still ends the run."""
     checked = 0
-    for case in cases:
-        bad = check(*case)
-        if bad is not None:
-            return LawResult(suite, law, False, bad)
-        checked += 1
+    try:
+        for case in cases:
+            bad = check(*case)
+            if bad is not None:
+                return LawResult(suite, law, False, bad)
+            checked += 1
+    except SizeLimitError:
+        raise
+    except Exception as exc:
+        return LawResult(suite, law, False, f"case {checked + 1}: {type(exc).__name__}: {exc}")
     if not checked:
         return LawResult(suite, law, False, f"no case checked ({summary(0)})", vacuous=True)
     return LawResult(suite, law, True, summary(checked))
@@ -870,12 +876,16 @@ def suite_dims(cfg: Config) -> list[Law]:
     check_size("verify dims set compositions", planned, VERIFY_CASE_CAP)
 
     def fubini(m):
-        enumerated = sum(1 for _ in enumerate_set_compositions(_ground(m)))
+        ground, seen = frozenset(_ground(m)), set()
+        for sc in enumerate_set_compositions(ground):
+            if sc in seen or sc.support != ground:
+                return f"n={m}: {render(basis(sc))} repeated or not on [{m}]"
+            seen.add(sc)
         expected = count_set_compositions(m)
-        if enumerated != expected:
-            return f"n={m}: enumerated {enumerated}, recurrence gives {expected}"
+        if len(seen) != expected:
+            return f"n={m}: enumerated {len(seen)}, recurrence gives {expected}"
 
-    # on a pass every enumerated count equals the recurrence's
+    # on a pass every count of distinct set compositions equals the recurrence's
     return [
         ("fubini", zip(range(n + 1)), fubini,
          lambda k: " ".join(str(count_set_compositions(m)) for m in range(k)))

@@ -70,6 +70,18 @@ def test_all_words_counts():
     assert (err.value.cap, err.value.requested) == (4, 11)
 
 
+@pytest.mark.parametrize("universe", [(), (1,), (1, 2), (1, 2, 3), (1, 2, 3, 4), (2, 5, 9)])
+def test_all_words_match_the_enumeration_of_each_subset(universe):
+    # the oracle builds its own words, in the order the enumeration promises
+    expected = tuple(
+        sc for r in range(len(universe) + 1) for sub in itertools.combinations(universe, r)
+        for sc in enumerate_set_compositions(sub)
+    )
+    words = all_words(universe)
+    assert words == expected
+    assert [w.support for w in words] == [sc.support for sc in expected]
+
+
 @pytest.mark.parametrize("build", [
     all_words,
     lambda universe: characteristic_endo((), universe),
@@ -78,11 +90,15 @@ def test_all_words_counts():
     lambda universe: oracle_check_composition(word({1}), word({1}), universe=universe),
 ], ids=["all_words", "characteristic_endo", "endo_of", "represent", "oracle_check_composition"])
 def test_word_tables_are_refused_before_enumeration(build, monkeypatch):
-    # every word table meets ORACLE_SUPPORT_CAP before its first word is built
-    def enumerate_nothing(*args, **kwargs):
-        raise AssertionError("word enumeration started")
+    # every word table meets ORACLE_SUPPORT_CAP before its first word is built;
+    # the oracle builds its words from itertools alone
+    class NoWords:
+        def __getattr__(self, name):
+            raise AssertionError("word enumeration started")
 
-    monkeypatch.setattr(oracle, "enumerate_set_compositions", enumerate_nothing)
+    monkeypatch.setattr(oracle, "itertools", NoWords())
+    with pytest.raises(AssertionError, match="word enumeration started"):
+        oracle._words_of.__wrapped__((1,))
     for n in (5, 11):
         with pytest.raises(SizeLimitError) as err:
             build(range(1, n + 1))
@@ -188,13 +204,64 @@ def test_endomorphism_equality():
 
 
 def test_endomorphism_tables():
+    # a table holds only the rows of the words that the map does not kill
     e = characteristic_endo({1}, (1,))
-    assert e.table == {EMPTY: {}, word({1}): {word({1}): 1}}
+    assert e.table == {word({1}): {word({1}): 1}}
     e12 = represent(word({1}, {2}), (1, 2))
-    assert repr(e12) == "<Endomorphism on 6 words over [1, 2]>"
+    assert len(e12.table) == 2
+    assert repr(e12) == "<Endomorphism on 2 words over [1, 2]>"
     table = e12.table
     assert table[word({2}, {1})] == {word({1}, {2}): 1}
-    assert table[word({1, 2})] == {}
+    assert e12(word({1, 2})) == {}
+
+
+def _is_clean(e):
+    return all(row and all(row.values()) for row in e.table.values())
+
+
+def test_oracle_tables_hold_no_empty_row_and_no_zero_coefficient():
+    universe = (1, 2, 3)
+    comps = list(enumerate_set_compositions(universe))
+    tables = {c: represent(c, universe) for c in comps}
+    assert all(map(_is_clean, tables.values()))
+    for r in range(4):
+        for s in itertools.combinations(universe, r):
+            assert _is_clean(characteristic_endo(s, universe))
+    for a, b in itertools.product(comps, repeat=2):
+        assert _is_clean(endo_convolution(tables[a], tables[b]))
+        assert _is_clean(endo_compose(tables[a], tables[b]))
+    # [{1,2}] and [{1}|{2}] both fix the word [{1}|{2}], so its row cancels
+    cancelling = basis(word({1, 2})) - basis(word({1}, {2}))
+    e = endo_of(cancelling, universe)
+    assert _is_clean(e)
+    assert word({1}, {2}) not in e.table
+    assert e(word({1}, {2})) == {}
+    assert e(word({2}, {1})) == {word({2}, {1}): 1, word({1}, {2}): -1}
+
+
+def test_a_table_passed_in_equals_its_cleaned_form():
+    u = frozenset({1, 2})
+    dirty = Endomorphism(u, {
+        word({1}): {word({1}): 2, EMPTY: 0},
+        word({2}): {word({2}): 0},
+        word({1}, {2}): {},
+    })
+    clean = Endomorphism(u, {word({1}): {word({1}): 2}})
+    assert dirty.table == clean.table == {word({1}): {word({1}): 2}}
+    assert dirty == clean
+    assert repr(dirty) == "<Endomorphism on 1 words over [1, 2]>"
+
+
+def test_a_killed_universe_word_maps_to_zero_and_an_outside_word_raises():
+    e = represent(word({1}), (1, 2))
+    assert e(word({1})) == {word({1}): 1}
+    assert e(word({2})) == {} and e(word({1}, {2})) == {} and e(EMPTY) == {}
+    assert e.apply({word({2}): 3, word({1}): 2}) == {word({1}): 2}
+    for outside in (word({3}), word({1}, {3})):
+        with pytest.raises(KeyError):
+            e(outside)
+        with pytest.raises(KeyError):
+            e.apply({outside: 1})
 
 
 def test_distinct_compositions_have_distinct_endomorphisms():

@@ -21,7 +21,7 @@ from collections import Counter
 
 import pytest
 
-from twisted_descents import algebra, oracle, permutations, solomon, verify
+from twisted_descents import algebra, cli, oracle, permutations, solomon, verify
 from twisted_descents.algebra import TDElement, TensorElement, basis
 from twisted_descents.oracle import (
     all_words,
@@ -740,3 +740,74 @@ def test_composition_laws_report_a_result_that_is_no_composition(monkeypatch):
         "FAIL [shuffles] young-factorization: type (1, 2), sigma=(1, 2, 3):"
         " SetComposition[{1}|{2,3}|{2,3}] is not a chamber"
     )
+
+
+# Kill-matrix rows for faults the count alone cannot see, and for a kernel
+# that raises: each law that meets the raise reports it as a failed case.
+def _first_again_for_last(s, real=verify.enumerate_set_compositions):
+    """The enumeration with its last result replaced by its first, on 3 or more labels."""
+    out = list(real(s))
+    if len(frozenset(s)) >= 3:
+        out[-1] = out[0]
+    yield from out
+
+
+def test_an_enumeration_that_repeats_a_result_is_killed(monkeypatch):
+    monkeypatch.setattr(verify, "enumerate_set_compositions", _first_again_for_last)
+    assert _killing_laws() == {
+        "bialgebra/coassociative-cocommutative", "oracle/composition-agreement",
+        "oracle/freeness-separation", "dims/fubini",
+    }
+    [fubini] = verify.run_suite("dims", verify.Config(max_n=3))
+    assert fubini.line() == "FAIL [dims] fubini: n=3: 1*[{1,2,3}] repeated or not on [3]"
+
+
+def _plant_raising_compose_basis(monkeypatch):
+    """``compose_basis`` raising on [{1,2}] ∘ [{2}|{1}] alone."""
+    real = algebra.compose_basis
+    pair = (SetComposition([[1, 2]]), SetComposition([[2], [1]]))
+
+    def compose_basis(a, b):
+        if (a, b) == pair:
+            raise ValueError("planted on one pair")
+        return real(a, b)
+
+    _plant(monkeypatch, "compose_basis", compose_basis)
+
+
+RAISING_COMPOSE_BASIS_KILLERS = {
+    "assoc-comp/associativity", "assoc-comp/degreewise-unit", "assoc-comp/unshuffling",
+    "bialgebra/compose-law", "reciprocity/matched-support", "reciprocity/all-triples-small",
+    "remarkable/matched-support", "remarkable/all-quadruples-small",
+    "remarkable/random-quadruples", "oracle/composition-agreement", "solomon/truncation",
+    "solomon/orbit-structure-constants", "equivariance/compose-equivariance",
+    "shuffles/descent-duality", "fixed-space/invariant-subalgebra",
+}
+
+
+def test_a_compose_basis_that_raises_is_killed(monkeypatch):
+    _plant_raising_compose_basis(monkeypatch)
+    results = verify.run_suite("all", verify.Config(max_n=3, max_support=3, seed=0))
+    assert len(results) == 39
+    failed = [r for r in results if not r.ok and not r.vacuous]
+    assert {f"{r.suite}/{r.law}" for r in failed} == RAISING_COMPOSE_BASIS_KILLERS
+    assert all(r.detail.endswith(": ValueError: planted on one pair") for r in failed)
+    [oracle_result] = [r for r in failed if r.suite == "oracle"]
+    assert oracle_result.detail == "case 7: ValueError: planted on one pair"
+
+
+def test_verify_all_reports_a_compose_basis_that_raises_as_failed_laws(monkeypatch, capsys):
+    _plant_raising_compose_basis(monkeypatch)
+    code = cli.main(["verify", "all", "--max-n", "3", "--max-support", "3"])
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_VERIFY
+    assert err == ""
+    lines = out.splitlines()
+    assert len(lines) == 40
+    fails = [line for line in lines if line.startswith("FAIL ")]
+    assert len(fails) == len(RAISING_COMPOSE_BASIS_KILLERS)
+    assert all("ValueError: planted on one pair" in line for line in fails)
+    assert "Traceback" not in out
+    # the two random equivariance laws start at n = 4, so they are VACUOUS here
+    assert sum(line.startswith("VACUOUS ") for line in lines) == 2
+    assert lines[-1] == "22/39 laws hold"

@@ -365,3 +365,14 @@ def test_orbit_composition_matches_solomon_coefficients():
                     prev = got.setdefault(t, coeff)
                     assert prev == coeff
                 assert got == dict(rule.terms)
+
+
+def test_solomon_compose_of_unequal_weights_or_a_zero_operand_builds_no_matrix(monkeypatch):
+    def no_matrices(rows, cols):
+        raise AssertionError("a matrix was built")
+
+    monkeypatch.setattr(solomon, "_flattened_matrices", no_matrices)
+    zero = DescentElement({})
+    two, three = DescentElement({(1, 1): 2, (2,): -1}), DescentElement({(1, 2): 5})
+    for a, b in ((two, three), (three, two), (zero, two), (two, zero), (zero, zero)):
+        assert solomon_compose(a, b) == zero

@@ -41,6 +41,52 @@ def test_a_sweep_with_no_case_is_vacuous_not_a_pass():
     assert result.line() == "VACUOUS [s] law: no case checked (0 cases)"
 
 
+def _raising_at(i, exc):
+    def check(j):
+        if j == i:
+            raise exc
+
+    return check
+
+
+def test_a_check_that_raises_fails_on_its_case():
+    pulled = []
+    result = _sweep("s", "law", _counting(pulled, 10), _raising_at(3, KeyError("w")), str)
+    assert result.line() == "FAIL [s] law: case 4: KeyError: 'w'"
+    assert pulled == [0, 1, 2, 3]
+    result = _sweep("s", "law", _counting([], 10), _raising_at(0, ValueError("bad")), str)
+    assert result.line() == "FAIL [s] law: case 1: ValueError: bad"
+
+
+def test_a_case_generator_that_raises_fails_on_the_case_it_draws():
+    def cases():
+        yield (0,)
+        yield (1,)
+        raise RuntimeError("no third case")
+
+    result = _sweep("s", "law", cases(), lambda i: None, str)
+    assert result.line() == "FAIL [s] law: case 3: RuntimeError: no third case"
+
+
+def test_a_size_limit_still_ends_the_run():
+    refusal = SizeLimitError("too big: 9 requested, cap 8", 8, 9)
+    with pytest.raises(SizeLimitError) as err:
+        _sweep("s", "law", _counting([], 10), _raising_at(2, refusal), str)
+    assert err.value is refusal
+
+
+def test_laws_after_one_that_raises_still_run(monkeypatch):
+    def fixed_space_check(m, **kwargs):
+        raise KeyError(f"weight {m}")
+
+    monkeypatch.setattr(verify, "fixed_space_check", fixed_space_check)
+    results = run_suite("all", Config(max_n=3, max_support=3, seed=0))
+    assert len(results) == 39
+    failed = [r.line() for r in results if not r.ok and not r.vacuous]
+    assert failed == ["FAIL [fixed-space] invariant-subalgebra: case 1: KeyError: 'weight 1'"]
+    assert results[-1].line() == "PASS [dims] fubini: 1 1 3 13"
+
+
 def test_single_and_trial_helpers():
     def swept(check):
         return _sweep("s", *_single("law", check, "fixed")).line()
@@ -92,5 +138,5 @@ def test_dims_refuses_its_planned_set_compositions_before_enumerating(monkeypatc
     assert (err.value.cap, err.value.requested) == (VERIFY_CASE_CAP, 109_933_269)
     assert str(err.value) == "verify dims set compositions: 109933269 requested, cap 10000000"
     # Σ_{m<=9} F(m) = 7,685,706 is under the cap, so --max-n 9 starts enumerating
-    with pytest.raises(AssertionError, match="enumerated"):
-        run_suite("dims", Config(max_n=9))
+    [result] = run_suite("dims", Config(max_n=9))
+    assert result.line() == "FAIL [dims] fubini: case 1: AssertionError: enumerated"

@@ -4,11 +4,12 @@ import sys
 
 import pytest
 
-from twisted_descents.algebra import UNIT, ZERO, basis, coproduct, tensor
+from twisted_descents.algebra import UNIT, ZERO, TDElement, basis, convolution, coproduct, tensor
 from twisted_descents.limits import MAX_LABEL
 from twisted_descents.setcomp import SetComposition, enumerate_set_compositions
 from twisted_descents.textio import (
     ParseError,
+    _join_terms,
     _read,
     _scan,
     element_from_json,
@@ -141,6 +142,36 @@ def test_render_tensor():
         render_tensor(d)
         == "1*[]⊗[{1,2}] + 1*[{1}]⊗[{2}] + 1*[{2}]⊗[{1}] + 1*[{1,2}]⊗[]"
     )
+
+
+def _sorting_bracket(sc):
+    """A bracket that sorts each block of ``sc`` itself, as render once did."""
+    return "[" + "|".join("{" + ",".join(map(str, sorted(b))) + "}" for b in sc.sets) + "]"
+
+
+def _random_element(rng):
+    labels = sorted({1, 2, 3, 10, MAX_LABEL - 1, MAX_LABEL, rng.randint(1, MAX_LABEL)})
+    terms = {}
+    for _ in range(rng.randint(0, 6)):
+        word = rng.sample(labels, rng.randint(0, 4))
+        cuts = sorted(rng.sample(range(1, len(word)), rng.randint(0, max(len(word) - 1, 0))))
+        edges = [0, *cuts, len(word)] if word else [0]
+        terms[SetComposition(word[a:b] for a, b in zip(edges, edges[1:]))] = rng.randint(-9, 9)
+    return TDElement(terms)
+
+
+def test_render_reads_the_sorted_blocks_of_each_row():
+    rng = random.Random(26)
+    for _ in range(300):
+        x, y = _random_element(rng), _random_element(rng)
+        for z in (x, convolution(x, y)):
+            assert render(z) == _join_terms([(c, _sorting_bracket(sc)) for sc, c in z])
+        for t in (tensor(x, y), coproduct(x)):
+            for ascii_only, sep in ((False, "⊗"), (True, "(x)")):
+                expected = _join_terms(
+                    [(c, _sorting_bracket(l) + sep + _sorting_bracket(r)) for (l, r), c in t]
+                )
+                assert render_tensor(t, ascii_only) == expected
 
 
 def test_json_round_trips():
