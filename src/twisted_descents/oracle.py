@@ -3,8 +3,8 @@
 Words α_S1···α_Sk over pairwise-disjoint finite sets span a free twisted
 algebra; its coproduct deshuffles letter positions (letters are primitive).
 A set composition acts on this algebra as the convolution of the
-characteristic projections of its blocks.  Tabulating those endomorphisms on
-every word of a universe of at most ``ORACLE_SUPPORT_CAP`` labels gives an
+characteristic projections of its blocks.  Tabulating those endomorphisms over
+the words of a universe of at most ``ORACLE_SUPPORT_CAP`` labels gives an
 independent model against which the symbolic products are checked.
 """
 
