@@ -39,6 +39,7 @@ from .algebra import (
     TensorElement,
     UNIT,
     ZERO,
+    _clean,
     act,
     basis,
     chamber,
@@ -126,7 +127,7 @@ def _sweep(
     except SizeLimitError:
         raise
     except Exception as exc:
-        return LawResult(suite, law, False, f"case {checked + 1}: {type(exc).__name__}: {exc}")
+        return LawResult(suite, law, False, f"case {checked + 1}: {_raised(exc)}")
     if not checked:
         return LawResult(suite, law, False, f"no case checked ({summary(0)})", vacuous=True)
     return LawResult(suite, law, True, summary(checked))
@@ -141,12 +142,22 @@ def _single(law: str, check: Callable[[], str | None], detail: str) -> Law:
     return law, [()], check, lambda _: detail
 
 
+def _raised(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
 def _trial(check: Callable[..., str | None]) -> Callable[..., str | None]:
     """``check`` on cases led by a label such as ``trial 3``, which prefixes
-    any counterexample."""
+    any counterexample, and any exception but a ``SizeLimitError`` that the
+    check raises."""
 
     def labelled(label: str, *case) -> str | None:
-        bad = check(*case)
+        try:
+            bad = check(*case)
+        except SizeLimitError:
+            raise
+        except Exception as exc:
+            bad = _raised(exc)
         return None if bad is None else f"{label}: {bad}"
 
     return labelled
@@ -185,9 +196,26 @@ def _words(universe: tuple[int, ...]) -> list[SetComposition]:
     return [sc for sub in _subsets(universe) for sc in _comps_of(sub)]
 
 
-def _random_cases(trials: int, draw: Callable[[], object], arity: int) -> Iterable[tuple]:
+def _random_cases(trials: int, arity: int, draw: Callable, *args) -> Iterable[tuple]:
+    """``trials`` cases of ``arity`` operands ``draw(*args)``, labelled ``trial i``."""
     for i in range(trials):
-        yield (f"trial {i}", *(draw() for _ in range(arity)))
+        yield (f"trial {i}", *(draw(*args) for _ in range(arity)))
+
+
+def _below(rng: random.Random, n: int) -> int:
+    """A random int in [0, n) for n > 0, drawn as CPython 3.10-3.13's
+    ``Random._randbelow`` draws it but through the public ``getrandbits``.
+    Every seeded draw goes through it, with the values and bits of the
+    ``randint``, ``choice`` and ``sample`` calls it stands for."""
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
+
+
+def _choice(rng: random.Random, seq):
+    return seq[_below(rng, len(seq))]
 
 
 def _random_comp_of_word(rng: random.Random, word: Iterable[int]) -> SetComposition:
@@ -198,20 +226,33 @@ def _random_comp_of_word(rng: random.Random, word: Iterable[int]) -> SetComposit
         else:
             blocks.append([x])
     # the labels come from the sweep's own ground sets, so they need no check
-    sets = tuple([frozenset(b) for b in blocks])
-    return SetComposition._make(sets, frozenset().union(*sets))
+    return SetComposition._make(tuple([frozenset(b) for b in blocks]), frozenset(word))
 
 
 def random_set_composition(rng: random.Random, universe: tuple[int, ...]) -> SetComposition:
-    return _random_comp_of_word(rng, rng.sample(universe, rng.randint(0, len(universe))))
+    """``rng.sample(universe, rng.randint(0, n))`` cut into blocks.  Up to 21
+    labels ``sample`` always takes its pool branch, written out here; over
+    more it may take its set branch, so it is called."""
+    n = len(universe)
+    k = _below(rng, n + 1)
+    if n > 21:
+        return _random_comp_of_word(rng, rng.sample(universe, k))
+    pool, word = list(universe), []
+    for i in range(n, n - k, -1):
+        j = _below(rng, i)
+        word.append(pool[j])
+        pool[j] = pool[i - 1]
+    return _random_comp_of_word(rng, word)
 
 
 def random_element(rng: random.Random, universe: tuple[int, ...]) -> TDElement:
-    out = TDElement({})
-    for _ in range(rng.randint(1, 3)):
-        coeff = rng.choice([-3, -2, -1, 1, 2, 3])
-        out = out + coeff * basis(random_set_composition(rng, universe))
-    return out
+    """The sum of ``randint(1, 3)`` terms c * basis(sc), each c a ``choice``."""
+    terms: dict = {}
+    for _ in range(_below(rng, 3) + 1):
+        coeff = _choice(rng, (-3, -2, -1, 1, 2, 3))
+        sc = random_set_composition(rng, universe)
+        terms[sc] = terms.get(sc, 0) + coeff
+    return TDElement._make(_clean(terms))
 
 
 # --------------------------------------------------------------------------
@@ -231,17 +272,14 @@ def suite_assoc_conv(cfg: Config) -> list[Law]:
     n = cfg.n(5)
     trials = cfg.trial_count(200)
 
-    def draw():
-        return random_element(rng, _ground(n))
-
     def unit(a):
         if convolution(UNIT, a) != a or convolution(a, UNIT) != a:
             return f"a={render(a)}"
 
     return [
-        ("associativity", _random_cases(trials, draw, 3),
+        ("associativity", _random_cases(trials, 3, random_element, rng, _ground(n)),
          _trial(_associative(convolution)), lambda k: f"{k} random triples, support <= {n}"),
-        ("unit", _random_cases(trials, draw, 1), _trial(unit),
+        ("unit", _random_cases(trials, 1, random_element, rng, _ground(n)), _trial(unit),
          lambda k: f"[] is a two-sided unit ({k} trials)"),
         _single("overlap-annihilation",
                 lambda: _unless_zero(convolution(basis([[1, 2]]), basis([[1, 2]]))),
@@ -256,9 +294,6 @@ def suite_assoc_comp(cfg: Config) -> list[Law]:
     unit_n = absorb_n = min(n, 4)
     unshuf_n = min(n, 5)
 
-    def draw():
-        return random_element(rng, _ground(n))
-
     # one-block compositions are two-sided units degreewise
     def unit(sub, one, x):
         if composition_product(one, x) != x or composition_product(x, one) != x:
@@ -269,16 +304,23 @@ def suite_assoc_comp(cfg: Config) -> list[Law]:
         if compose_basis(cham, sc) != cham:
             return f"chamber {render(basis(cham))}, x={render(basis(sc))}"
 
-    # relative unshuffling: sc o (chamber of sigma) regroups sigma's word by blocks
-    def unshuffles(sc, p):
+    # relative unshuffling: sc o (chamber of sigma) regroups sigma's word by
+    # blocks; each sigma's chamber is built once per degree
+    def unshuffling_cases():
+        for m in range(unshuf_n + 1):
+            chambers = [(p, permutation_basis(p)) for p in symmetric_group(m)]
+            yield from ((sc, p, cham) for sc in _comps_of(_ground(m)) for p, cham in chambers)
+
+    def unshuffles(sc, p, cham):
         expected = chamber([v for block in sc.sets for v in p if v in block])
-        got = compose_basis(sc, permutation_basis(p))
+        got = compose_basis(sc, cham)
         if got != expected:
             shown = "0" if got is None else render(basis(got))
             return f"sc={render(basis(sc))}, sigma={p}, got {shown}"
 
     return [
-        ("associativity", _random_cases(trials, draw, 3), _trial(_associative(composition_product)),
+        ("associativity", _random_cases(trials, 3, random_element, rng, _ground(n)),
+         _trial(_associative(composition_product)),
          lambda k: f"{k} random triples, support <= {n}"),
         ("degreewise-unit",
          ((sub, basis([sub]), basis(sc))
@@ -291,10 +333,8 @@ def suite_assoc_comp(cfg: Config) -> list[Law]:
          (case for sub in _subsets(_ground(absorb_n)) for case in
           itertools.product(map(chamber, itertools.permutations(sub)), _comps_of(sub))),
          absorbs, lambda _: f"exhaustive, |S| <= {absorb_n}"),
-        ("unshuffling",
-         (case for m in range(unshuf_n + 1)
-          for case in itertools.product(_comps_of(_ground(m)), symmetric_group(m))),
-         unshuffles, lambda _: f"exhaustive, n <= {unshuf_n}"),
+        ("unshuffling", unshuffling_cases(), unshuffles,
+         lambda _: f"exhaustive, n <= {unshuf_n}"),
     ]
 
 
@@ -468,12 +508,9 @@ def suite_reciprocity(cfg: Config) -> list[Law]:
 
     # seeded random triples over the full ground set, any supports, each
     # distinct h expanded by δ once
-    def draw():
-        return random_set_composition(rng, ground)
-
     def random_triples():
         deltas: dict = {}
-        for label, f, g, h in _random_cases(trials, draw, 3):
+        for label, f, g, h in _random_cases(trials, 3, random_set_composition, rng, ground):
             dh = deltas.get(h)
             if dh is None:
                 dh = deltas[h] = coproduct(basis(h))
@@ -522,9 +559,6 @@ def suite_remarkable(cfg: Config) -> list[Law]:
     small = _ground(min(n, 2))
     trials = cfg.trial_count(2000)
 
-    def draw():
-        return random_set_composition(rng, ground)
-
     # each h ∘ k is made once per split (A, B): a split with F(|A|) ≥ 2
     # reads it F(|A|)² times from a list, any other split once as it is made
     def matched_quadruples():
@@ -544,7 +578,7 @@ def suite_remarkable(cfg: Config) -> list[Law]:
         # every quadruple in a tiny universe, including mismatched supports
         ("all-quadruples-small", itertools.product(_words(small), repeat=4),
          _remarkable, lambda k: f"{k} quadruples over [{len(small)}]"),
-        ("random-quadruples", _random_cases(trials, draw, 4),
+        ("random-quadruples", _random_cases(trials, 4, random_set_composition, rng, ground),
          _trial(_remarkable), lambda _: f"{trials} seeded quadruples over [{n}]"),
     ]
 
@@ -765,13 +799,13 @@ def suite_equivariance(cfg: Config) -> list[Law]:
 
     def draw_action(ground_m, perms_m):
         x = basis(random_set_composition(rng, ground_m))
-        return x, rng.choice(perms_m), rng.choice(perms_m)
+        return x, _choice(rng, perms_m), _choice(rng, perms_m)
 
     def draw_product(ground_m, perms_m):
-        word_a, word_b = rng.choice(perms_m), rng.choice(perms_m)
+        word_a, word_b = _choice(rng, perms_m), _choice(rng, perms_m)
         a = basis(_random_comp_of_word(rng, word_a))
         b = basis(_random_comp_of_word(rng, word_b))
-        return a, b, rng.choice(perms_m)
+        return a, b, _choice(rng, perms_m)
 
     def exhaustive_products():
         for m in range(small + 1):

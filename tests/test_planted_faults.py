@@ -469,6 +469,19 @@ def test_matched_remarkable_makes_each_hk_once_per_split(monkeypatch):
     assert len(calls) == want == 29267
 
 
+def test_unshuffling_builds_each_chamber_once_per_degree(monkeypatch):
+    # one chamber per sigma in S_m, m <= 4, and one sc ∘ chamber per case
+    chambers = _calls_during(monkeypatch, "permutation_basis", "unshuffling")
+    products = _calls_during(monkeypatch, "compose_basis", "unshuffling")
+    results = verify.run_suite("assoc-comp", verify.Config(max_n=4, trials=0))
+    [result] = [r for r in results if r.law == "unshuffling"]
+    assert result.line() == "PASS [assoc-comp] unshuffling: exhaustive, n <= 4"
+    perms = [p for m in range(5) for p in permutations.symmetric_group(m)]
+    assert Counter(chambers) == Counter((p,) for p in perms)
+    assert len(chambers) == 34
+    assert len(products) == sum(_fubini(m) * math.factorial(m) for m in range(5)) == 1886
+
+
 def test_oracle_suite_represents_each_composition_once_per_call(monkeypatch):
     real = oracle.represent
     counts: Counter = Counter()
@@ -702,6 +715,17 @@ def _act_through_p(x, p, real=algebra.act):
 def test_solomon_and_action_mutant_is_killed(monkeypatch, name, kernel, killers):
     _plant(monkeypatch, name, kernel)
     assert _killing_laws() == killers
+
+
+# Kill-matrix row for the chambers of permutations: unshuffling builds its
+# table of chambers through the name it looks up as the sweep runs.
+def _reversed_chamber(p, real=algebra.permutation_basis):
+    return real(tuple(p)[::-1])
+
+
+def test_permutation_basis_mutant_is_killed(monkeypatch):
+    _plant(monkeypatch, "permutation_basis", _reversed_chamber)
+    assert _killing_laws() == {"assoc-comp/unshuffling"}
 
 
 # Kill-matrix rows for the descent classes, planted through the name solomon calls.

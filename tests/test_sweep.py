@@ -5,7 +5,9 @@ import random
 import pytest
 
 from twisted_descents import verify
+from twisted_descents.algebra import TDElement, basis
 from twisted_descents.limits import VERIFY_CASE_CAP, SizeLimitError
+from twisted_descents.permutations import symmetric_group
 from twisted_descents.setcomp import SetComposition
 from twisted_descents.verify import Config, _single, _sweep, _trial, run_suite
 
@@ -68,6 +70,28 @@ def test_a_case_generator_that_raises_fails_on_the_case_it_draws():
     assert result.line() == "FAIL [s] law: case 3: RuntimeError: no third case"
 
 
+def test_a_seeded_random_law_whose_check_raises_keeps_its_trial_label(monkeypatch):
+    def conv_basis(a, b):
+        raise ValueError("planted")
+
+    monkeypatch.setattr(verify, "conv_basis", conv_basis)
+    cfg = Config(max_n=3, trials=20)
+    remarkable = {r.law: r.line() for r in run_suite("remarkable", cfg)}
+    assert remarkable["random-quadruples"] == (
+        "FAIL [remarkable] random-quadruples: trial 6: ValueError: planted"
+    )
+    # an unlabelled law keeps the case number
+    assert remarkable["matched-support"] == (
+        "FAIL [remarkable] matched-support: case 1: ValueError: planted"
+    )
+    # the random reciprocity triples make f * g as they are drawn, so there the
+    # case generator raises, before any trial label is attached
+    [random_triples] = [r for r in run_suite("reciprocity", cfg) if r.law == "random-triples"]
+    assert random_triples.line() == (
+        "FAIL [reciprocity] random-triples: case 1: ValueError: planted"
+    )
+
+
 def test_a_size_limit_still_ends_the_run():
     refusal = SizeLimitError("too big: 9 requested, cap 8", 8, 9)
     with pytest.raises(SizeLimitError) as err:
@@ -96,6 +120,11 @@ def test_single_and_trial_helpers():
     check = _trial(lambda x: None if x else "x=0")
     assert check("trial 4", 1) is None
     assert check("trial 4", 0) == "trial 4: x=0"
+    assert _trial(_raising_at(2, KeyError("w")))("trial 4", 2) == "trial 4: KeyError: 'w'"
+    refusal = SizeLimitError("too big: 9 requested, cap 8", 8, 9)
+    with pytest.raises(SizeLimitError) as err:
+        _trial(_raising_at(2, refusal))("trial 4", 2)
+    assert err.value is refusal
 
 
 def test_zero_trials_leave_the_random_associativity_laws_vacuous():
@@ -108,24 +137,75 @@ def test_zero_trials_leave_the_random_associativity_laws_vacuous():
     ]
 
 
-def test_random_draws_match_validated_blocks_drawn_from_the_same_seed():
-    universe = (1, 2, 3, 4)
-    rng, want = random.Random(5), []
-    for _ in range(900):
-        word = rng.sample(universe, rng.randint(0, len(universe)))
-        blocks = []
-        for x in word:
-            if blocks and rng.random() < 0.5:
-                blocks[-1].append(x)
-            else:
-                blocks.append([x])
-        want.append(SetComposition(blocks))
+def _reference_comp_of_word(rng, word):
+    blocks = []
+    for x in word:
+        if blocks and rng.random() < 0.5:
+            blocks[-1].append(x)
+        else:
+            blocks.append([x])
+    return SetComposition(blocks)
+
+
+def _reference_set_composition(rng, universe):
+    return _reference_comp_of_word(rng, rng.sample(universe, rng.randint(0, len(universe))))
+
+
+# 0 to 21 labels take sample's pool branch; over 22 and 30 labels a sample of
+# at most 5 takes its set branch
+UNIVERSE_SIZES = [0, 1, 4, 5, 21, 22, 30]
+
+
+@pytest.mark.parametrize("n", UNIVERSE_SIZES)
+def test_random_draws_match_validated_blocks_drawn_from_the_same_seed(n):
+    universe = tuple(range(1, n + 1))
+    rng = random.Random(5)
+    want = [_reference_set_composition(rng, universe) for _ in range(900)]
+    want_next = rng.random()
     rng = random.Random(5)
     got = [verify.random_set_composition(rng, universe) for _ in range(900)]
     assert got == want
+    assert rng.random() == want_next
     for sc in got:
         again = SetComposition(sc.blocks)
         assert again == sc and again.support == sc.support
+
+
+@pytest.mark.parametrize("n", UNIVERSE_SIZES)
+def test_random_elements_match_randint_and_choice_from_the_same_seed(n):
+    universe = tuple(range(1, n + 1))
+    rng, want = random.Random(9), []
+    for _ in range(300):
+        x = TDElement({})
+        for _ in range(rng.randint(1, 3)):
+            coeff = rng.choice([-3, -2, -1, 1, 2, 3])
+            x = x + coeff * basis(_reference_set_composition(rng, universe))
+        want.append(x)
+    want_next = rng.random()
+    rng = random.Random(9)
+    got = [verify.random_element(rng, universe) for _ in range(300)]
+    assert got == want
+    assert rng.random() == want_next
+
+
+@pytest.mark.parametrize("m", [1, 2, 4, 5])
+def test_equivariance_permutation_draws_match_choice_from_the_same_seed(m):
+    # the draws of compose-equivariance-random: two words, their blocks, then sigma
+    perms = list(symmetric_group(m))
+    rng, want = random.Random(11), []
+    for _ in range(300):
+        word_a, word_b = rng.choice(perms), rng.choice(perms)
+        a, b = _reference_comp_of_word(rng, word_a), _reference_comp_of_word(rng, word_b)
+        want.append((a, b, rng.choice(perms)))
+    want_next = rng.random()
+    rng, got = random.Random(11), []
+    for _ in range(300):
+        word_a, word_b = verify._choice(rng, perms), verify._choice(rng, perms)
+        a = verify._random_comp_of_word(rng, word_a)
+        b = verify._random_comp_of_word(rng, word_b)
+        got.append((a, b, verify._choice(rng, perms)))
+    assert got == want
+    assert rng.random() == want_next
 
 
 def test_dims_refuses_its_planned_set_compositions_before_enumerating(monkeypatch):
