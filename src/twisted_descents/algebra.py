@@ -21,7 +21,7 @@ from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
 from .limits import MAX_TERMS, check_size
-from .permutations import check_permutation, inverse
+from .permutations import _checked_inverse, check_permutation
 from .setcomp import EMPTY, SetComposition, canonical_key, check_ground_set
 
 
@@ -569,22 +569,25 @@ def act(x: TDElement, p: Iterable[int]) -> TDElement:
 
     1_(S1,...,Sk) · p = 1_(p⁻¹(S1),...,p⁻¹(Sk)); requires every support to
     lie inside {1..n} for n = degree of p.  Satisfies
-    act(act(x, p), q) = act(x, compose(p, q)).  Each distinct block is
-    pulled back once per call.
+    act(act(x, p), q) = act(x, compose(p, q)).  p is checked and inverted in
+    one pass over it; each distinct block is checked against n and pulled
+    back once per call.
     """
-    p = check_permutation(p)
-    n = len(p)
-    back = (0, *inverse(p)).__getitem__
+    back = _checked_inverse(p)
+    n = len(back) - 1
+    pull = back.__getitem__
     pulled: dict[frozenset[int], frozenset[int]] = {}
     acc: dict = {}
     for sc, coeff in x._terms.items():
-        if max(sc.support, default=0) > n:
-            raise ValueError(f"support {sorted(sc.support)} not contained in 1..{n}")
         sets = []
         for b in sc.sets:
-            if b not in pulled:
-                pulled[b] = frozenset(map(back, b))
-            sets.append(pulled[b])
-        key = SetComposition._make(tuple(sets), frozenset(map(back, sc.support)))
+            pb = pulled.get(b)
+            if pb is None:
+                if max(b) > n:
+                    raise ValueError(f"support {sorted(sc.support)} not contained in 1..{n}")
+                pb = pulled[b] = frozenset(map(pull, b))
+            sets.append(pb)
+        support = sets[0] if len(sets) == 1 else frozenset(map(pull, sc.support))
+        key = SetComposition._make(tuple(sets), support)
         acc[key] = acc.get(key, 0) + coeff
     return TDElement._make(_clean(acc))

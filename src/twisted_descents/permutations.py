@@ -24,6 +24,20 @@ def check_permutation(values: Iterable[int]) -> tuple[int, ...]:
     return p
 
 
+def _checked_inverse(values: Iterable[int]) -> list[int]:
+    """[0, p⁻¹(1), ..., p⁻¹(n)] for p = ``check_permutation(values)``, filled
+    while the entries are checked, in one pass.  On any doubtful entry
+    ``check_permutation`` decides, so a bad p raises its error."""
+    p = tuple(values)
+    n = len(p)
+    back = [0] * (n + 1)
+    for i, v in enumerate(p, 1):
+        if type(v) is not int or not 0 < v <= n or back[v]:
+            return [0, *inverse(check_permutation(p))]
+        back[v] = i
+    return back
+
+
 def identity(n: int) -> tuple[int, ...]:
     return tuple(range(1, n + 1))
 

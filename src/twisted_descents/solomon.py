@@ -216,27 +216,43 @@ def star(x: GroupAlgebraElement) -> GroupAlgebraElement:
     return GroupAlgebraElement._make({inverse(p): c for p, c in x._terms.items()})
 
 
-def _cut_chamber(parts, p: Iterable[int]) -> tuple[SetComposition, tuple[int, ...], tuple]:
-    """1_(S1,...,Sk) o 1_p, p checked against the partition of [n], and the
-    identity chamber's blocks ({1},...,{n}), whose objects the chamber shares."""
+def _partition_tests(parts):
+    """``shuffle_test`` and ``young_decompose`` for one partition, checked
+    once: the partition, its identity chamber's blocks ({1},...,{n}) and the
+    cut composition 1_(S1,...,Sk) are built here, and each call checks only p."""
     blocks = as_increasing_partition(parts)
-    p = check_permutation(p)
     n = sum(map(len, blocks))
-    if len(p) != n:
-        raise ValueError(f"permutation degree {len(p)} does not match partition of [{n}]")
     singles = tuple(map(frozenset, zip(range(1, n + 1))))
-    word = SetComposition._make(tuple([singles[v - 1] for v in p]), frozenset(p))
-    return compose_basis(SetComposition._make(blocks, word.support), word), p, singles
+    ground = frozenset(range(1, n + 1))
+    cut = SetComposition._make(blocks, ground)
+
+    def chamber(p):  # 1_(S1,...,Sk) o 1_p and the checked p
+        p = check_permutation(p)
+        if len(p) != n:
+            raise ValueError(f"permutation degree {len(p)} does not match partition of [{n}]")
+        word = SetComposition._make(tuple([singles[v - 1] for v in p]), ground)
+        return compose_basis(cut, word), p
+
+    def is_shuffle(p) -> bool:
+        return chamber(p)[0].sets == singles
+
+    def decompose(p) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        cham, p = chamber(p)
+        beta = chamber_word(cham)
+        return beta, compose(inverse(beta), p)
+
+    return is_shuffle, decompose
 
 
 def shuffle_test(parts, p: Iterable[int]) -> bool:
     """Is p a shuffle of the given increasing partition?
 
     Decided by the composition product: p is a shuffle exactly when
-    1_(S1,...,Sk) o 1_p is the identity chamber ({1},...,{n}).
+    1_(S1,...,Sk) o 1_p is the identity chamber ({1},...,{n}).  The partition
+    is checked before p; a caller testing many p against one partition
+    checks it once through ``_partition_tests``.
     """
-    cham, _, singles = _cut_chamber(parts, p)
-    return cham.sets == singles
+    return _partition_tests(parts)[0](p)
 
 
 def young_decompose(parts, p: Iterable[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -245,10 +261,7 @@ def young_decompose(parts, p: Iterable[int]) -> tuple[tuple[int, ...], tuple[int
     beta is read off the chamber 1_(S1,...,Sk) o 1_p positionally; then
     tau = beta^{-1} . p.
     """
-    cham, p, _ = _cut_chamber(parts, p)
-    beta = chamber_word(cham)
-    tau = compose(inverse(beta), p)
-    return beta, tau
+    return _partition_tests(parts)[1](p)
 
 
 def fixed_space_check(n: int) -> bool:

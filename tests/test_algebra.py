@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -24,7 +25,7 @@ from twisted_descents.algebra import (
     tensor_convolution,
 )
 from twisted_descents.limits import MAX_TERMS, SizeLimitError
-from twisted_descents.permutations import symmetric_group
+from twisted_descents.permutations import check_permutation, symmetric_group
 from twisted_descents.setcomp import EMPTY, SetComposition, enumerate_set_compositions
 from twisted_descents.solomon import DescentElement
 from twisted_descents.textio import parse
@@ -269,6 +270,53 @@ def test_act_on_terms_sharing_blocks_is_the_sum_over_its_terms():
         for sc, c in x.terms.items():
             termwise = termwise + c * act(basis(sc), s)
         assert act(x, s) == termwise
+
+
+@pytest.mark.parametrize("p", [
+    (1, 1), (0, 1), (3, 1), (True,), (2.0, 1), ("a", 1), (1, 1, "a"),
+], ids=repr)
+def test_act_refuses_a_bad_permutation_with_check_permutations_text(p):
+    with pytest.raises(ValueError) as want:
+        check_permutation(p)
+    for x in (ZERO, basis([[1]]), parse("[{1}|{2}] + [{2}|{1}]")):
+        for given in (p, iter(p)):
+            with pytest.raises(ValueError) as got:
+                act(x, given)
+            assert str(got.value) == str(want.value)
+
+
+def test_act_takes_int_subclass_entries_as_check_permutation_does():
+    class Label(int):
+        pass
+
+    p = tuple(map(Label, (3, 1, 2)))
+    x = parse("[{1,3}|{2}] + [{2}]")
+    assert check_permutation(p) == (3, 1, 2)
+    assert act(x, p) == act(x, (3, 1, 2)) == parse("[{1,2}|{3}] + [{3}]")
+
+
+def _act_termwise(x, p):
+    """The right action term by term, as its defining formula reads."""
+    back = {v: i for i, v in enumerate(p, 1)}
+    return [(SetComposition([{back[v] for v in b} for b in sc.sets]), c)
+            for sc, c in x.terms.items()]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_act_matches_the_termwise_formula_term_for_term(seed):
+    # terms built from two pools of blocks, so that blocks repeat across terms
+    rng = random.Random(seed)
+    pools = ([{1, 2}, {3}, {4}], [{1}, {2}, {3, 4}], [{4}, {1, 2, 3}])
+    terms: dict = {}
+    for _ in range(6):
+        pool = rng.choice(pools)
+        sc = SetComposition(rng.sample(pool, rng.randint(0, len(pool))))
+        terms[sc] = terms.get(sc, 0) + rng.choice((-2, -1, 1, 3))
+    x = TDElement(terms)
+    for s in symmetric_group(4):
+        got = list(act(x, s).terms.items())
+        assert got == _act_termwise(x, s)
+        assert all(sc.support == frozenset().union(*sc.sets) for sc, _ in got)
 
 
 def test_act_is_a_right_action():

@@ -482,6 +482,21 @@ def test_unshuffling_builds_each_chamber_once_per_degree(monkeypatch):
     assert len(products) == sum(_fubini(m) * math.factorial(m) for m in range(5)) == 1886
 
 
+def test_shuffle_laws_check_each_partition_once(monkeypatch):
+    # one partition check per composition c of m, and one permutation check
+    # per (c, p) with p in S_m, m <= 5; young-factorization checks 8 partitions
+    partitions = _calls_during(monkeypatch, "as_increasing_partition", "descent-duality",
+                               module=solomon)
+    perms = _calls_during(monkeypatch, "check_permutation", "descent-duality", module=solomon)
+    young = _calls_during(monkeypatch, "as_increasing_partition", "young-factorization",
+                          module=solomon)
+    results = verify.run_suite("shuffles", verify.Config(max_n=5))
+    assert all(r.ok for r in results)
+    assert len(partitions) == sum(2 ** (m - 1) for m in range(1, 6)) == 31
+    assert len(perms) == sum(2 ** (m - 1) * math.factorial(m) for m in range(1, 6)) == 2141
+    assert len(young) == 8
+
+
 def test_oracle_suite_represents_each_composition_once_per_call(monkeypatch):
     real = oracle.represent
     counts: Counter = Counter()
@@ -726,6 +741,45 @@ def _reversed_chamber(p, real=algebra.permutation_basis):
 def test_permutation_basis_mutant_is_killed(monkeypatch):
     _plant(monkeypatch, "permutation_basis", _reversed_chamber)
     assert _killing_laws() == {"assoc-comp/unshuffling"}
+
+
+# Kill-matrix rows for δ: each mutant breaks every coproduct the laws take.
+def _last_term_dropped(x, *args, real=algebra.coproduct):
+    return TensorElement(dict(list(real(x, *args).terms.items())[:-1]))
+
+
+def _two_block_left_legs_reversed(x, *args, real=algebra.coproduct):
+    out: dict = {}
+    for (l, r), c in real(x, *args).terms.items():
+        key = (SetComposition(l.sets[::-1]) if len(l.sets) == 2 else l, r)
+        out[key] = out.get(key, 0) + c
+    return TensorElement(out)
+
+
+def _first_coefficient_doubled(x, *args, real=algebra.coproduct):
+    terms = dict(real(x, *args).terms)
+    for key in terms:
+        terms[key] *= 2
+        break
+    return TensorElement(terms)
+
+
+COPRODUCT_KILLERS = {
+    "bialgebra/coassociative-cocommutative", "bialgebra/convolution-law",
+    "reciprocity/all-triples-small", "reciprocity/matched-support",
+    "reciprocity/random-triples",
+}
+
+
+@pytest.mark.parametrize("kernel, killers", [
+    (_last_term_dropped, COPRODUCT_KILLERS | {"bialgebra/non-graded-witness"}),
+    (_two_block_left_legs_reversed, COPRODUCT_KILLERS | {"bialgebra/compose-law"}),
+    (_first_coefficient_doubled,
+     COPRODUCT_KILLERS | {"bialgebra/non-graded-witness", "bialgebra/compose-law"}),
+], ids=["drop-last-term", "reverse-two-block-left-legs", "double-first-coefficient"])
+def test_coproduct_mutant_is_killed(monkeypatch, kernel, killers):
+    _plant(monkeypatch, "coproduct", kernel)
+    assert _killing_laws() == killers
 
 
 # Kill-matrix rows for the descent classes, planted through the name solomon calls.

@@ -18,6 +18,7 @@ from twisted_descents.setcomp import (
     SetComposition,
     as_increasing_partition,
     compositions,
+    interval_partition,
     multinomial,
 )
 from twisted_descents.solomon import (
@@ -271,6 +272,48 @@ def test_shuffle_test_matches_enumeration():
         assert len(members) == multinomial(parts)
         for p in itertools.permutations(range(1, n + 1)):
             assert shuffle_test(parts, p) == (p in members)
+
+
+def test_a_partition_checked_once_tests_as_shuffle_test_and_young_decompose_do():
+    for n in range(1, 6):
+        perms = list(itertools.permutations(range(1, n + 1)))
+        for c in compositions(n):
+            parts = interval_partition(c)
+            is_shuffle, decompose = solomon._partition_tests(parts)
+            assert {p for p in perms if shuffle_test(parts, p)} == set(shuffles(c))
+            assert [is_shuffle(p) for p in perms] == [shuffle_test(parts, p) for p in perms]
+            assert [decompose(p) for p in perms] == [young_decompose(parts, p) for p in perms]
+
+
+def _unread():
+    """A permutation that fails the test if anything reads it."""
+    raise AssertionError("the permutation was read")
+    yield
+
+
+@pytest.mark.parametrize("parts, text", [
+    ((0, 2), r"^composition part 0 is not a positive integer$"),
+    (({1, 3}, {2}), r"is not an increasing partition of \[3\]$"),
+])
+def test_a_bad_partition_is_refused_before_any_permutation(parts, text):
+    with pytest.raises(ValueError, match=text):
+        solomon._partition_tests(parts)
+    for test in (shuffle_test, young_decompose):
+        with pytest.raises(ValueError, match=text):
+            test(parts, _unread())
+
+
+def test_a_partition_checked_once_still_checks_every_permutation():
+    is_shuffle, decompose = solomon._partition_tests((2, 1))
+    assert is_shuffle((1, 3, 2)) and not is_shuffle((2, 1, 3))
+    for test in (is_shuffle, decompose):
+        with pytest.raises(ValueError, match=r"^\(1, 1, 2\) is not a permutation of 1\.\.3$"):
+            test((1, 1, 2))
+        with pytest.raises(ValueError, match=r"^permutation entry 2\.0 is not an integer$"):
+            test((2.0, 1, 3))
+        with pytest.raises(ValueError,
+                           match=r"^permutation degree 2 does not match partition of \[3\]$"):
+            test((2, 1))
 
 
 def test_young_decompose_examples():

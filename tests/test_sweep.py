@@ -84,11 +84,10 @@ def test_a_seeded_random_law_whose_check_raises_keeps_its_trial_label(monkeypatc
     assert remarkable["matched-support"] == (
         "FAIL [remarkable] matched-support: case 1: ValueError: planted"
     )
-    # the random reciprocity triples make f * g as they are drawn, so there the
-    # case generator raises, before any trial label is attached
+    # the random reciprocity triples make f * g in the check, under its label
     [random_triples] = [r for r in run_suite("reciprocity", cfg) if r.law == "random-triples"]
     assert random_triples.line() == (
-        "FAIL [reciprocity] random-triples: case 1: ValueError: planted"
+        "FAIL [reciprocity] random-triples: trial 0: ValueError: planted"
     )
 
 
