@@ -11,7 +11,9 @@ three pictures and the Young/shuffle factorization of permutations.
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 from operator import sub
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
 from .algebra import (
@@ -93,7 +95,8 @@ class GroupAlgebraElement(_Graded):
     degree = property(_Graded._grade_of)
 
 
-def _flattened_matrices(rows: tuple[int, ...], cols: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+@lru_cache(maxsize=1024)  # margin pairs; ``verify all`` meets 404 at its default sizes
+def _flattened_matrices(rows: tuple[int, ...], cols: tuple[int, ...]) -> Mapping[tuple, int]:
     """Count the matrices with the given margins by their flattened nonzero entries.
 
     Fills one row at a time; partial matrices that leave the same column
@@ -102,6 +105,7 @@ def _flattened_matrices(rows: tuple[int, ...], cols: tuple[int, ...]) -> dict[tu
     with the right halves whose sums complete it; the last row is forced to
     the remaining column sums.  Keys appear in the order of their first
     matrix in row-major lexicographic order.  The margins must have equal sums.
+    Each margin pair is counted once per process; its entry is read-only.
     """
     states: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {(cols, ()): 1}
     for total in rows[:-1]:
@@ -122,7 +126,7 @@ def _flattened_matrices(rows: tuple[int, ...], cols: tuple[int, ...]) -> dict[tu
     for (remaining, prefix), count in states.items():
         key = prefix + tuple(filter(None, remaining))
         out[key] = out.get(key, 0) + count
-    return out
+    return MappingProxyType(out)
 
 
 def solomon_compose(a: DescentElement, b: DescentElement) -> DescentElement:

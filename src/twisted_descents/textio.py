@@ -312,10 +312,16 @@ def parse_ints(text: str, what: str) -> tuple[int, ...]:
 
 
 def parse_permutation(text: str) -> tuple[int, ...]:
-    """One-line notation, e.g. ``3,1,2``."""
+    """One-line notation, e.g. ``3,1,2``.  The error points at the first entry
+    outside 1..n or repeating an earlier one."""
     values = parse_ints(text, "permutation")
-    if sorted(values) != list(range(1, len(values) + 1)):
-        raise ParseError(f"{values} is not a permutation of 1..{len(values)}", 0)
+    n, seen, start = len(values), set(), 0
+    for v, piece in zip(values, text.split(",")):
+        if not 0 < v <= n or v in seen:
+            at = start + len(piece) - len(piece.lstrip())
+            raise ParseError(f"{values} is not a permutation of 1..{n}", at)
+        seen.add(v)
+        start += len(piece) + 1
     return values
 
 

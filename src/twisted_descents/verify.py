@@ -19,7 +19,9 @@ A kernel result that many cases share may sit in a table built during the
 sweep; no table outlives its suite's sweep, and a table feeds one side of a
 case only.  Kernels are looked up when they run, through this module's names
 and orbit sums through ``solomon``'s, so a fault planted there reaches every
-table.
+table.  ``solomon._flattened_matrices`` keeps each margin pair's matrix
+counts for the life of the process: that is a kernel's own memo, not a table
+of this module, and a fault planted under its name replaces it.
 
 Sweep sizes follow the documented desk-scale defaults and scale with the
 configured sizes, within the fixed caps of ``limits``.  All randomness flows

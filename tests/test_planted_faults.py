@@ -718,17 +718,33 @@ def _act_through_p(x, p, real=algebra.act):
     return real(x, permutations.inverse(permutations.check_permutation(p)))
 
 
-@pytest.mark.parametrize("name, kernel, killers", [
-    ("_flattened_matrices", _matrices_below_top, {
+MATRICES_MUTANTS = [
+    (_matrices_below_top, {
         "solomon/truncation", "solomon/unit", "fixed-space/invariant-subalgebra",
     }),
-    ("_flattened_matrices", _margins_swapped, {
-        "solomon/truncation", "fixed-space/invariant-subalgebra",
-    }),
+    (_margins_swapped, {"solomon/truncation", "fixed-space/invariant-subalgebra"}),
+]
+
+
+@pytest.mark.parametrize("name, kernel, killers", [
+    *(("_flattened_matrices", *row) for row in MATRICES_MUTANTS),
     ("act", _act_through_p, {"equivariance/right-action"}),
 ], ids=["ranges-below-top", "margins-swapped", "act-through-p"])
 def test_solomon_and_action_mutant_is_killed(monkeypatch, name, kernel, killers):
     _plant(monkeypatch, name, kernel)
+    assert _killing_laws() == killers
+
+
+# The memo of margin pairs is the function planted over, so a mutant planted
+# after a sweep has filled it still runs on every pair.  A fault planted
+# beneath that name would be hidden by the pairs already held: a test that
+# plants one calls ``solomon._flattened_matrices.cache_clear()`` first.
+@pytest.mark.parametrize("kernel, killers", MATRICES_MUTANTS,
+                         ids=["ranges-below-top", "margins-swapped"])
+def test_a_matrices_mutant_planted_over_a_warm_memo_is_killed(monkeypatch, kernel, killers):
+    assert all(r.ok for r in verify.run_suite("solomon", verify.Config(max_n=3, seed=0)))
+    assert solomon._flattened_matrices.cache_info().currsize >= 21
+    _plant(monkeypatch, "_flattened_matrices", kernel)
     assert _killing_laws() == killers
 
 
@@ -780,6 +796,30 @@ COPRODUCT_KILLERS = {
 def test_coproduct_mutant_is_killed(monkeypatch, kernel, killers):
     _plant(monkeypatch, "coproduct", kernel)
     assert _killing_laws() == killers
+
+
+def _last_word_split_dropped(u, real=oracle.b_coproduct):
+    return dict(list(real(u).items())[:-1])
+
+
+def test_an_oracle_coproduct_that_drops_its_last_term_is_killed(monkeypatch):
+    # the last split of a word u is (u, ∅); verify reads δ of words as orc.b_coproduct
+    monkeypatch.setattr(oracle, "b_coproduct", _last_word_split_dropped)
+    assert _killing_laws() == {
+        "oracle/coproduct-product-compatibility", "oracle/word-coproduct-cocommutative",
+    }
+
+
+def test_a_clean_that_keeps_zero_coefficients_survives_verify_all(monkeypatch):
+    # No law of ``verify all`` compares an element in which terms cancel, so
+    # none sees a zero coefficient kept.  The element arithmetic test does:
+    # a − a keeps a zero term and is not the zero element.
+    import test_algebra
+
+    _plant(monkeypatch, "_clean", lambda terms: terms)
+    assert _killing_laws() == set()
+    with pytest.raises(AssertionError):
+        test_algebra.test_element_arithmetic()
 
 
 # Kill-matrix rows for the descent classes, planted through the name solomon calls.

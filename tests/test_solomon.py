@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from twisted_descents import solomon
+from twisted_descents import solomon, verify
 from twisted_descents.algebra import TDElement, basis, composition_product
 from twisted_descents.limits import MAX_TERMS, SizeLimitError
 from twisted_descents.permutations import (
@@ -120,6 +120,49 @@ def test_solomon_is_capped_before_its_first_matrix(monkeypatch):
     with pytest.raises(SizeLimitError) as err:
         solomon_compose(ones, ones)
     assert (err.value.cap, err.value.requested) == (13, 14)
+    # the rule looks the kernel up by name, so a margin pair the memo holds
+    # reaches the planted kernel too
+    with pytest.raises(AssertionError, match="a matrix was built"):
+        solomon_compose(one((13,)), one((13,)))
+
+
+def test_the_matrix_memo_matches_the_dp_on_every_margin_pair_of_weight_up_to_6():
+    memo = solomon._flattened_matrices
+    memo.cache_clear()
+    pairs = [pair for m in range(7) for pair in itertools.product(compositions(m), repeat=2)]
+    for c1, c2 in pairs:
+        want = list(memo.__wrapped__(c1, c2).items())
+        cold = memo(c1, c2)
+        warm = memo(c1, c2)
+        assert warm is cold
+        assert list(cold.items()) == want, (c1, c2)
+    info = memo.cache_info()
+    assert info.hits == info.misses == len(pairs) == 1 + sum(4 ** (m - 1) for m in range(1, 7))
+    assert info.currsize == info.maxsize == 1024
+
+
+def test_a_memo_entry_is_read_only():
+    memo = solomon._flattened_matrices
+    entry = memo((1, 2), (2, 1))
+    with pytest.raises(TypeError):
+        entry[(1, 2)] = 5
+    with pytest.raises(TypeError):
+        del entry[(1, 1, 1)]
+    # rows (1,2), cols (2,1): matrices [[0,1],[2,0]] and [[1,0],[1,1]], in that order
+    assert list(memo((1, 2), (2, 1)).items()) == [((1, 2), 1), ((1, 1, 1), 1)]
+    assert solomon_compose(one((1, 2)), one((2, 1))) == DescentElement(
+        {(1, 1, 1): 1, (1, 2): 1}
+    )
+
+
+def test_the_solomon_suite_counts_each_margin_pair_once():
+    # one miss per margin pair (c1, c2) of weight m <= 4: (2^(m-1))^2 of each weight
+    memo = solomon._flattened_matrices
+    memo.cache_clear()
+    results = verify.run_suite("solomon", verify.Config(max_n=4, max_support=3, seed=0))
+    assert all(r.ok for r in results)
+    info = memo.cache_info()
+    assert info.misses == info.currsize == sum(4 ** (m - 1) for m in range(1, 5)) == 85
 
 
 def test_solomon_unit_and_associativity():

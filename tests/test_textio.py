@@ -225,6 +225,24 @@ def test_small_parsers():
     assert render_composition((1, 1)) == "(1,1)"
 
 
+@pytest.mark.parametrize("text, position", [
+    ("3,1,1", 4),  # the repeat, not the first 1
+    ("1,4,2", 2),  # out of range
+    ("0,1", 0),
+    ("-1,1", 0),
+    (" 2 , 2 ,1", 5),  # spaces around the commas
+    ("2,1,\t3, 2", 8),  # 3 is in range for n = 4; the second 2 repeats
+])
+def test_a_bad_permutation_is_reported_at_its_first_bad_entry(text, position):
+    values = tuple(int(piece) for piece in text.split(","))
+    with pytest.raises(ParseError) as err:
+        parse_permutation(text)
+    assert err.value.position == position
+    assert str(err.value) == (
+        f"{values} is not a permutation of 1..{len(values)} (at position {position})"
+    )
+
+
 def test_render_blocks():
     assert render(basis(SetComposition(({3, 5}, {1, 4})))) == "1*[{3,5}|{1,4}]"
     assert render(basis(SetComposition(()))) == "1*[]"
