@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from .algebra import TDElement, basis, composition_product
 from .limits import ORACLE_SUPPORT_CAP, check_size
@@ -58,7 +58,7 @@ def _splits(u: BWord) -> tuple[tuple[tuple[BWord, BWord], int], ...]:
     return tuple(out.items())
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)  # universes; ``verify all`` meets 16 at its default sizes
 def _words_of(universe: tuple[int, ...]) -> tuple[BWord, ...]:
     # Each subset's words, subsets by size: the maps of its labels onto blocks 0..k-1.
     check_size("word-table universe size", len(universe), ORACLE_SUPPORT_CAP)
@@ -75,7 +75,7 @@ def _words_of(universe: tuple[int, ...]) -> tuple[BWord, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)  # universes, as for _words_of
 def _coproducts_of(universe: tuple[int, ...]) -> Mapping[BWord, tuple]:
     # Word -> its coproduct as immutable items; endo_convolution reads every
     # word's coproduct once per call, so the table is built once per universe.
@@ -89,19 +89,26 @@ def all_words(universe: Iterable[int]) -> tuple[BWord, ...]:
 
 class Endomorphism:
     """A grading-preserving linear map; ``table`` holds the nonzero image of each
-    universe word it does not kill, whatever table ``__init__`` was given."""
+    universe word it does not kill, whatever table ``__init__`` was given.  It is
+    read-only, rows included, as ``represent`` shares it; ``e(w)`` is a fresh dict."""
 
     __slots__ = ("universe", "table")
 
     def __init__(self, universe: frozenset[int], table: dict):
-        self.universe = universe
-        self.table = {w: row for w, img in table.items()
-                      if (row := {k: c for k, c in img.items() if c})}
+        rows = {w: MappingProxyType(row) for w, img in table.items()
+                if (row := {k: c for k, c in img.items() if c})}
+        object.__setattr__(self, "universe", universe)
+        object.__setattr__(self, "table", MappingProxyType(rows))
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"Endomorphism is read-only: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
 
     def __call__(self, w: BWord) -> BElement:
         if not w.support <= self.universe:
             raise KeyError(w)
-        return self.table.get(w, {})
+        return dict(self.table.get(w, {}))
 
     def apply(self, x: BElement) -> BElement:
         out: BElement = {}
@@ -168,22 +175,25 @@ def represent(sc: SetComposition, universe: Iterable[int]) -> Endomorphism:
         raise ValueError(
             f"support {sorted(sc.support)} not inside universe {sorted(ground)}"
         )
+    return _represent(sc, ground)
+
+
+@lru_cache(maxsize=512)  # (composition, universe) pairs; ``verify all`` meets 299
+def _represent(sc: SetComposition, ground: frozenset[int]) -> Endomorphism:
+    # Each pair is represented once per process; the endomorphism is read-only.
     endo = characteristic_endo((), ground)
     for block in sc.sets:
         endo = endo_convolution(endo, characteristic_endo(block, ground))
     return endo
 
 
-def endo_of(
-    x: TDElement, universe: Iterable[int], *, represent_of: Callable | None = None
-) -> Endomorphism:
-    """Linear combination of represented basis elements; ``represent_of``, if
-    given, stands in for ``represent``, for example to read a memo of it."""
+def endo_of(x: TDElement, universe: Iterable[int]) -> Endomorphism:
+    """Linear combination of represented basis elements."""
     ground = check_ground_set(universe)
     _words_of(tuple(sorted(ground)))  # the word-table cap, even for a zero x
     table: dict = {}
     for sc, coeff in x.terms.items():
-        for w, img in (represent_of or represent)(sc, ground).table.items():
+        for w, img in represent(sc, ground).table.items():
             row = table.setdefault(w, {})
             for w2, c in img.items():
                 row[w2] = row.get(w2, 0) + coeff * c

@@ -177,35 +177,28 @@ def descent_basis_expand(c: Iterable[int], s: Iterable[int]) -> TDElement:
 
 def orbit_sum(c: Iterable[int]) -> TDElement:
     """O_C: the type-C orbit sum over the ground set {1..n}, n = weight."""
-    c = check_composition(c)
+    return _orbit_sum(check_composition(c))
+
+
+@lru_cache(maxsize=64)  # compositions; all 63 of weight <= 6, ``verify all`` meets 31
+def _orbit_sum(c: tuple[int, ...]) -> TDElement:
+    # Each composition's orbit sum is built once per process; the element is read-only.
     return descent_basis_expand(c, range(1, sum(c) + 1))
 
 
 def descent_to_orbit(a: DescentElement) -> TDElement:
     """The truncation embedding: each composition goes to its orbit sum."""
-    return _to_orbit(a, {})
-
-
-def _to_orbit(a: DescentElement, orbits: dict) -> TDElement:
-    """``descent_to_orbit``, reading the orbit sum of ``c`` from ``orbits`` where it is."""
     acc: dict[SetComposition, int] = {}
     for c, coeff in a._terms.items():
-        for sc, x in (orbits[c] if c in orbits else orbit_sum(c))._terms.items():
+        for sc, x in orbit_sum(c)._terms.items():
             acc[sc] = acc.get(sc, 0) + coeff * x
     return TDElement._make(_clean(acc))
 
 
-def truncation_check(a: DescentElement, b: DescentElement, *, orbit_of=None) -> bool:
-    """Does Solomon's rule agree with composing the orbit-sum images?
-
-    ``orbit_of``, when given, is a table ``{c: orbit_sum(c)}`` that a caller
-    checking many pairs of one weight builds once.  A composition missing
-    from it, such as a term of another weight from a faulty rule, gets
-    ``orbit_sum``.
-    """
-    orbit_of = orbit_of or {}
-    lhs = _to_orbit(solomon_compose(a, b), orbit_of)
-    return lhs == composition_product(_to_orbit(a, orbit_of), _to_orbit(b, orbit_of))
+def truncation_check(a: DescentElement, b: DescentElement) -> bool:
+    """Does Solomon's rule agree with composing the orbit-sum images?"""
+    lhs = descent_to_orbit(solomon_compose(a, b))
+    return lhs == composition_product(descent_to_orbit(a), descent_to_orbit(b))
 
 
 def descent_class(c: Iterable[int]) -> GroupAlgebraElement:
@@ -280,14 +273,9 @@ def fixed_space_check(n: int) -> bool:
     check_size("fixed-space check weight", n, FIXED_SPACE_CAP)
     if n < 1:
         raise ValueError("weight must be positive")
-    # Every orbit sum is built once; Solomon's rule keeps the weight, so only
-    # a faulty rule reaches a composition outside the table.
-    orbits = {c: orbit_sum(c) for c in compositions(n)}
+    comps = list(compositions(n))
     perms = list(symmetric_group(n))
-    if any(act(x, s) != x for x in orbits.values() for s in perms):
+    if any(act(x, s) != x for x in map(orbit_sum, comps) for s in perms):
         return False
-    return all(
-        truncation_check(DescentElement({c1: 1}), DescentElement({c2: 1}), orbit_of=orbits)
-        for c1 in orbits
-        for c2 in orbits
-    )
+    units = [DescentElement({c: 1}) for c in comps]
+    return all(truncation_check(a, b) for a in units for b in units)

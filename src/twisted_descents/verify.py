@@ -17,11 +17,13 @@ case; then it sweeps the laws in order through one engine, ``_sweep``:
 
 A kernel result that many cases share may sit in a table built during the
 sweep; no table outlives its suite's sweep, and a table feeds one side of a
-case only.  Kernels are looked up when they run, through this module's names
-and orbit sums through ``solomon``'s, so a fault planted there reaches every
-table.  ``solomon._flattened_matrices`` keeps each margin pair's matrix
-counts for the life of the process: that is a kernel's own memo, not a table
-of this module, and a fault planted under its name replaces it.
+case only.  A kernel whose result depends only on a hashable key memoizes
+itself for the life of the process, in a bounded read-only ``lru_cache``:
+``solomon._flattened_matrices`` (1,024 margin pairs), ``solomon.orbit_sum``
+(64 compositions), ``oracle.represent`` (512 composition/universe pairs) and
+the oracle's word tables (32 universes each).  Kernels are looked up by name
+when they run, so a fault planted under a kernel's name reaches every table
+and replaces its memo.
 
 Sweep sizes follow the documented desk-scale defaults and scale with the
 configured sizes, within the fixed caps of ``limits``.  All randomness flows
@@ -600,21 +602,12 @@ def suite_oracle(cfg: Config) -> list[Law]:
     ground = _ground(n)
     words = list(orc.all_words(ground))
     expected_words = sum(math.comb(n, r) * count_set_compositions(r) for r in range(n + 1))
-    memo: dict = {}
-
-    # represent, built once per (composition, universe) in this call
-    def represent(sc, universe):
-        key = (sc, frozenset(universe))
-        endo = memo.get(key)
-        if endo is None:
-            endo = memo[key] = orc.represent(sc, universe)
-        return endo
 
     # composition agreement, support by support, with table reuse
     def equal_support_pairs():
         for sub in _subsets(ground):
             comps = _comps_of(sub)
-            tables = {sc: represent(sc, sub) for sc in comps}
+            tables = {sc: orc.represent(sc, sub) for sc in comps}
             yield from ((a, b, tables) for a, b in itertools.product(comps, repeat=2))
 
     def composition_agrees(a, b, tables):
@@ -632,13 +625,11 @@ def suite_oracle(cfg: Config) -> list[Law]:
         for sub_a, sub_b in _disjoint_pairs(ground):
             union = tuple(sorted(sub_a + sub_b))
             comps_b = _comps_of(sub_b)
-            for a in _comps_of(sub_a):
-                ra = represent(a, union)
-                yield from ((a, b, ra, union) for b in comps_b)
+            yield from ((a, b, union) for a in _comps_of(sub_a) for b in comps_b)
 
-    def convolution_agrees(a, b, ra, union):
-        lhs = orc.endo_convolution(ra, represent(b, union))
-        if lhs != orc.endo_of(convolution(basis(a), basis(b)), union, represent_of=represent):
+    def convolution_agrees(a, b, union):
+        lhs = orc.endo_convolution(orc.represent(a, union), orc.represent(b, union))
+        if lhs != orc.endo_of(convolution(basis(a), basis(b)), union):
             return _show(a=a, b=b)
 
     # freeness: distinct set compositions give distinct endomorphisms
@@ -648,7 +639,7 @@ def suite_oracle(cfg: Config) -> list[Law]:
             yield from ((sc, sub, seen) for sc in _comps_of(sub))
 
     def distinct(sc, sub, seen):
-        table = represent(sc, sub).table
+        table = orc.represent(sc, sub).table
         key = frozenset((w, frozenset(image.items())) for w, image in table.items())
         if key in seen:
             return f"{render(basis(seen[key]))} and {render(basis(sc))} coincide"
@@ -711,26 +702,21 @@ def suite_solomon(cfg: Config) -> list[Law]:
     unit_n = max(n, 6) if cfg.max_n is None else n
     assoc_n = min(n, 4)
 
-    # the pairs of compositions of each weight up to ``top``, with one table
-    # of that weight's orbit sums, built through solomon.orbit_sum as the
-    # sweep runs; a product term of another weight, which only a faulty rule
-    # makes, gets truncation_check's own orbit_sum call
+    # the pairs of compositions of each weight up to ``top``
     def orbit_pairs(top):
         for m in range(1, top + 1):
-            comps_m = list(compositions(m))
-            orbits = {c: sol.orbit_sum(c) for c in comps_m}
-            yield from ((c1, c2, orbits) for c1, c2 in itertools.product(comps_m, repeat=2))
+            yield from itertools.product(compositions(m), repeat=2)
 
     # truncation: Solomon's rule matches the orbit-sum route
-    def truncates(c1, c2, orbits):
+    def truncates(c1, c2):
         a, b = DescentElement({c1: 1}), DescentElement({c2: 1})
-        if not truncation_check(a, b, orbit_of=orbits):
+        if not truncation_check(a, b):
             return f"{c1} o {c2}"
 
     # orbit-sum structure constants: constant and nonnegative on each type
-    def structure_constants(c1, c2, orbits):
+    def structure_constants(c1, c2):
         by_type: dict = {}
-        for sc, coeff in composition_product(orbits[c1], orbits[c2]).terms.items():
+        for sc, coeff in composition_product(sol.orbit_sum(c1), sol.orbit_sum(c2)).terms.items():
             by_type.setdefault(type_of(sc), []).append(coeff)
         for typ, coeffs in by_type.items():
             if len(set(coeffs)) != 1 or min(coeffs) < 0:

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 
@@ -272,3 +273,64 @@ def test_distinct_compositions_have_distinct_endomorphisms():
         return frozenset((w, frozenset(image.items())) for w, image in table.items())
 
     assert len({key(c) for c in enumerate_set_compositions(universe)}) == 13
+
+
+def _subsets(universe):
+    return [s for r in range(len(universe) + 1) for s in itertools.combinations(universe, r)]
+
+
+def test_the_represent_memo_matches_the_uncached_build_over_every_universe_inside_3():
+    memo = oracle._represent
+    for sub in _subsets((1, 2, 3)):
+        for sc in enumerate_set_compositions(sub):
+            for universe in _subsets((1, 2, 3)):
+                if not set(sub) <= set(universe):
+                    continue
+                want = memo.__wrapped__(sc, frozenset(universe))
+                got = represent(sc, universe)
+                assert got == want, (sc, universe)
+                assert list(got.table) == list(want.table)
+                assert represent(sc, universe) is got
+    info = memo.cache_info()
+    assert info.misses == info.currsize == info.hits
+    # each k-subset has F(k) compositions, each in 2^(3-k) universes
+    assert info.misses == sum(math.comb(3, k) * count_set_compositions(k) * 2 ** (3 - k)
+                              for k in range(4)) == 51
+
+
+def test_a_represented_table_is_read_only_and_a_returned_image_is_fresh():
+    e = represent(word({1}, {2}), (1, 2))
+    w, v = word({2}, {1}), word({1}, {2})
+    with pytest.raises(TypeError):
+        e.table[w] = {}
+    with pytest.raises(TypeError):
+        del e.table[w]
+    with pytest.raises(TypeError):
+        e.table[w][v] = 5
+    with pytest.raises(AttributeError):
+        e.table = {}
+    with pytest.raises(AttributeError):
+        del e.universe
+    image = e(w)
+    assert type(image) is dict and image == {v: 1}
+    image[v] = 5
+    image[w] = 1
+    again = represent(word({1}, {2}), (1, 2))
+    assert again(w) == {v: 1}
+    assert again == oracle._represent.__wrapped__(word({1}, {2}), frozenset({1, 2}))
+
+
+def test_the_word_tables_stay_within_their_bound_over_many_universes():
+    words, coproducts = oracle._words_of, oracle._coproducts_of
+    bound = words.cache_info().maxsize
+    assert bound == coproducts.cache_info().maxsize == 32
+    for label in range(1, 2 * bound + 2):
+        universe = (label, label + 100)
+        assert represent(word({label}), universe).table == {word({label}): {word({label}): 1}}
+        assert all_words(universe) == (
+            EMPTY, word({label}), word({label + 100}), word({label, label + 100}),
+            word({label}, {label + 100}), word({label + 100}, {label}),
+        )
+        assert words.cache_info().currsize <= bound
+        assert coproducts.cache_info().currsize <= bound
+    assert words.cache_info().misses == coproducts.cache_info().misses == 2 * bound + 1

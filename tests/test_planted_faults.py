@@ -6,11 +6,11 @@ merged-state DP, ∘ runs large support groups on block masks, the
 coassociativity law expands the legs of δ(x) from one table of δ, and other
 laws read repeated kernel results from tables built once per sweep.  The
 matched sweeps build theirs only in the splits that read them again: rows of
-f ∘ l and g ∘ r in a reciprocity split with both parts nonempty, one h ∘ k
-per remarkable split, and the truncation law's orbit sums once per weight.
-Each test here either breaks an input on purpose and checks that the law
-notices, counts how often a law runs a kernel, or compares a kernel with a
-slow model written below.  The kill-matrix rows plant a faulty kernel and
+f ∘ l and g ∘ r in a reciprocity split with both parts nonempty, and one
+h ∘ k per remarkable split.  Orbit sums and ``represent`` memoize
+themselves, once per process.  Each test here either breaks an input on
+purpose and checks that the law notices, counts how often a law runs or
+builds a kernel, or compares a kernel with a slow model written below.  The kill-matrix rows plant a faulty kernel and
 pin the laws of ``verify all`` that report it.
 """
 
@@ -421,14 +421,15 @@ def test_fixed_space_reports_a_product_of_another_weight(monkeypatch):
     assert result.detail == "n=3"
 
 
-def test_solomon_truncation_builds_each_orbit_sum_once(monkeypatch):
-    calls = _calls_during(monkeypatch, "orbit_sum", "truncation", module=solomon)
+def test_solomon_truncation_builds_each_orbit_sum_once():
+    # one build per composition of weight m <= 4, read by every later pair
+    memo = solomon._orbit_sum
+    memo.cache_clear()
     result = next(r for r in verify.run_suite("solomon", verify.Config(max_n=4))
                   if r.law == "truncation")
     assert result.ok
-    weights = [c for m in range(1, 5) for c in compositions(m)]
-    assert Counter(calls) == Counter((c,) for c in weights)
-    assert len(calls) == 15
+    info = memo.cache_info()
+    assert info.misses == info.currsize == sum(2 ** (m - 1) for m in range(1, 5)) == 15
 
 
 def _fubini(m):
@@ -497,20 +498,16 @@ def test_shuffle_laws_check_each_partition_once(monkeypatch):
     assert len(young) == 8
 
 
-def test_oracle_suite_represents_each_composition_once_per_call(monkeypatch):
-    real = oracle.represent
-    counts: Counter = Counter()
-
-    def represent(sc, universe):
-        counts[sc, frozenset(universe)] += 1
-        return real(sc, universe)
-
-    monkeypatch.setattr(oracle, "represent", represent)
+def test_oracle_suite_represents_each_composition_once_per_call():
+    memo = oracle._represent
+    memo.cache_clear()
     cfg = verify.Config(max_support=3)
     assert all(r.ok for r in verify.run_suite("oracle", cfg))
-    assert len(counts) > 26 and set(counts.values()) == {1}
+    # every composition of a subset of [3], in every universe inside [3] that holds it
+    built = memo.cache_info().misses
+    assert built == memo.cache_info().currsize == 51
     assert all(r.ok for r in verify.run_suite("oracle", cfg))
-    assert set(counts.values()) == {2}  # the second call starts with no memo
+    assert memo.cache_info().misses == built  # the second call builds none
 
 
 def test_convolution_agreement_reads_a_broken_represent_from_its_memo(monkeypatch):
@@ -737,8 +734,9 @@ def test_solomon_and_action_mutant_is_killed(monkeypatch, name, kernel, killers)
 
 # The memo of margin pairs is the function planted over, so a mutant planted
 # after a sweep has filled it still runs on every pair.  A fault planted
-# beneath that name would be hidden by the pairs already held: a test that
-# plants one calls ``solomon._flattened_matrices.cache_clear()`` first.
+# beneath that name would be hidden by the pairs already held; the fixture
+# in ``conftest.py`` clears every memo before each test, so only a warm-up
+# inside the test itself, as here, fills one.
 @pytest.mark.parametrize("kernel, killers", MATRICES_MUTANTS,
                          ids=["ranges-below-top", "margins-swapped"])
 def test_a_matrices_mutant_planted_over_a_warm_memo_is_killed(monkeypatch, kernel, killers):

@@ -198,7 +198,20 @@ def test_orbit_sum_shares_equal_blocks_within_a_call():
             assert shared.setdefault(block, block) is block
     assert len(shared) == 10  # six pairs and four singletons of [4]
     again = next(iter(orbit_sum((2, 1, 1)).terms))
-    assert again == terms[0] and again.sets[0] is not terms[0].sets[0]
+    assert again is terms[0]  # a repeat call reads the memo's element
+
+
+def test_the_orbit_sum_memo_matches_its_build_on_every_composition_of_weight_up_to_6():
+    memo = solomon._orbit_sum
+    comps = [c for m in range(7) for c in compositions(m)]
+    for c in comps:
+        want = list(memo.__wrapped__(c).terms.items())
+        cold = orbit_sum(c)
+        assert orbit_sum(list(c)) is cold
+        assert list(cold.terms.items()) == want, c
+    info = memo.cache_info()
+    assert info.hits == info.misses == len(comps) == 2 ** 6
+    assert info.currsize == info.maxsize == 64
 
 
 def test_orbit_sum_examples():
@@ -396,16 +409,12 @@ def test_stabilizer_is_young_subgroup():
         assert (act(x, s) == x) == (s in young)
 
 
-def test_fixed_space_check_builds_each_orbit_sum_once(monkeypatch):
-    calls = []
-
-    def counting(c, *args, **kwargs):
-        calls.append(tuple(c))
-        return orbit_sum(c, *args, **kwargs)
-
-    monkeypatch.setattr(solomon, "orbit_sum", counting)
+def test_fixed_space_check_builds_each_orbit_sum_once():
+    memo = solomon._orbit_sum
+    memo.cache_clear()
     assert fixed_space_check(4)
-    assert sorted(calls) == sorted(compositions(4))  # 8 calls
+    info = memo.cache_info()
+    assert info.misses == info.currsize == len(list(compositions(4))) == 8
 
 
 def _fold_to_orbit(a):
