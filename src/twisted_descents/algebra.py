@@ -121,8 +121,6 @@ class _Linear:
         return bool(self._terms)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, int) and other == 0:
-            return not self._terms
         if not isinstance(other, type(self)):
             return NotImplemented
         return self._terms == other._terms

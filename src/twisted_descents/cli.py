@@ -5,12 +5,12 @@ arithmetic, ``verify`` for the invariant suites.  Exit codes: 0 success,
 1 verification failure, 2 usage or parse error, 3 size cap exceeded.
 
 Each subcommand takes only the flags it reads: ``--format`` on every command;
-``--max-terms`` (``TDA_MAX_TERMS``) on ``conv``, ``comp`` and ``coprod``;
-``--ascii`` on ``coprod``, the only output with a non-ASCII character (``⊗``);
-``--max-n`` (``TDA_MAX_N``), ``--max-support`` (``TDA_MAX_SUPPORT``),
-``--seed`` and ``--trials`` on ``verify``.  A flag wins over its environment
-variable.  Counts are ASCII digits, as in the element grammar; ``--seed`` is
-the grammar's ``int``.
+``--max-terms`` on ``conv``, ``comp`` and ``coprod``; ``--ascii`` on
+``coprod``, the only output with a non-ASCII character (``⊗``); ``--max-n``,
+``--max-support``, ``--seed`` and ``--trials`` on ``verify``.  The command
+line is the only input a run reads; no environment variable moves a cap or a
+size.  Counts are ASCII digits, as in the element grammar; ``--seed`` is the
+grammar's ``int``.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 from typing import Sequence
 
@@ -64,24 +63,6 @@ def integer(text: str) -> int:
     return int(text)
 
 
-def _from_env(flag: int | None, var: str) -> int | None:
-    """``flag`` if it was given, else the count in environment variable ``var``."""
-    if flag is not None:
-        return flag
-    raw = os.environ.get(var, "")
-    if not raw:
-        return None
-    try:
-        return count(raw)
-    except ValueError:
-        raise ParseError(f"environment {var}={raw!r} is not a count", 0) from None
-
-
-def _max_terms(args: argparse.Namespace) -> int:
-    cap = _from_env(args.max_terms, "TDA_MAX_TERMS")
-    return MAX_TERMS if cap is None else cap
-
-
 def _emit(args: argparse.Namespace, text, obj) -> None:
     """Print ``text()`` or, under ``--format json``, ``obj()``; only one is built."""
     if args.format == "json":
@@ -95,15 +76,13 @@ def cmd_product(args) -> int:
     # Looked up per call, not stored in the cached parser, so the module's
     # current binding of each product is the one that runs.
     product = convolution if args.command == "conv" else composition_product
-    max_terms = _max_terms(args)
-    result = product(parse(args.a), parse(args.b), max_terms)
+    result = product(parse(args.a), parse(args.b), args.max_terms)
     _emit(args, lambda: render(result), lambda: element_to_json(result))
     return EXIT_OK
 
 
 def cmd_coprod(args) -> int:
-    max_terms = _max_terms(args)
-    result = coproduct(parse(args.a), max_terms)
+    result = coproduct(parse(args.a), args.max_terms)
     _emit(
         args,
         lambda: render_tensor(result, ascii_only=args.ascii),
@@ -148,12 +127,7 @@ def cmd_verify(args) -> int:
         names = ", ".join(list(SUITES) + ["all"])
         print(f"unknown suite {args.suite!r}; available: {names}", file=sys.stderr)
         return EXIT_USAGE
-    cfg = Config(
-        max_n=_from_env(args.max_n, "TDA_MAX_N"),
-        max_support=_from_env(args.max_support, "TDA_MAX_SUPPORT"),
-        trials=args.trials,
-        seed=args.seed,
-    )
+    cfg = Config(args.max_n, args.max_support, args.trials, args.seed)
     results = run_suite(args.suite, cfg)
     if args.format == "json":
         laws = [{"suite": r.suite, "law": r.law, "ok": r.ok, "detail": r.detail} for r in results]
@@ -171,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
     fmt = argparse.ArgumentParser(add_help=False)
     fmt.add_argument("--format", choices=["text", "json"], default="text")
     capped = argparse.ArgumentParser(add_help=False, parents=[fmt])
-    capped.add_argument("--max-terms", type=count, help="expansion size cap")
+    capped.add_argument("--max-terms", type=count, default=MAX_TERMS, help="expansion size cap")
 
     parser = argparse.ArgumentParser(
         prog="twisted-descents",

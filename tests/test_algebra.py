@@ -52,6 +52,22 @@ def test_element_arithmetic():
         TDElement({sc({1}): "x"})
 
 
+@pytest.mark.parametrize("flag", [True, False])
+@pytest.mark.parametrize(
+    "x",
+    [
+        basis(sc({1})),
+        tensor(basis(sc({1})), basis(sc({2}))),
+        DescentElement({(1, 1): 1}),
+    ],
+    ids=["TDElement", "TensorElement", "DescentElement"],
+)
+def test_bool_scalars_are_refused(x, flag):
+    # a bool is an int, but not a scalar of these modules
+    with pytest.raises(TypeError):
+        flag * x
+
+
 def test_tensor_key_validation():
     pair = (sc({1}), sc({2}))
     assert TensorElement([(pair, 1), (pair, 2)]) == TensorElement({pair: 3})

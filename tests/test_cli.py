@@ -142,18 +142,20 @@ def test_solomon_refuses_past_its_work_cap(capsys):
 
 
 def test_env_cap_and_flag_precedence(capsys, monkeypatch):
+    # only the flag caps coprod: the environment moves nothing
     monkeypatch.setenv("TDA_MAX_TERMS", "16")
-    code, _, _ = run(capsys, "coprod", "[{1,2,3,4,5}]")
+    code, out, _ = run(capsys, "coprod", "[{1,2,3,4,5}]")
+    assert code == EXIT_OK
+    assert out.count("⊗") == 32
+    code, _, _ = run(capsys, "coprod", "[{1,2,3,4,5}]", "--max-terms", "16")
     assert code == EXIT_CAP
-    # an explicit flag overrides the environment
     code, out, _ = run(capsys, "coprod", "[{1,2,3,4,5}]", "--max-terms", "32")
     assert code == EXIT_OK
     assert out.count("⊗") == 32
     for junk in ("not-a-number", "-1", "+4", "٣", "1_0"):
         monkeypatch.setenv("TDA_MAX_TERMS", junk)
-        code, _, err = run(capsys, "coprod", "[{1,2}]")
-        assert code == EXIT_USAGE
-        assert f"TDA_MAX_TERMS={junk!r} is not a count" in err
+        code, out, err = run(capsys, "coprod", "[{1,2}]")
+        assert (code, out.count("⊗"), err) == (EXIT_OK, 4, "")
 
 
 PRODUCT_ARGS = ["[{1}] + [{2}] + [{3}]", "[{1}] + [{4}]"]  # 6 term pairs
@@ -170,14 +172,17 @@ def test_product_cap_exit_code(capsys, command):
 
 @pytest.mark.parametrize("command", ["conv", "comp"])
 def test_product_env_cap_and_flag_precedence(capsys, monkeypatch, command):
+    # only the flag caps conv and comp: the environment moves nothing
     monkeypatch.setenv("TDA_MAX_TERMS", "5")
     code, _, _ = run(capsys, command, *PRODUCT_ARGS)
+    assert code == EXIT_OK
+    code, _, _ = run(capsys, command, *PRODUCT_ARGS, "--max-terms", "5")
     assert code == EXIT_CAP
     code, _, _ = run(capsys, command, *PRODUCT_ARGS, "--max-terms", "6")
     assert code == EXIT_OK
     monkeypatch.setenv("TDA_MAX_TERMS", "not-a-number")
-    code, _, _ = run(capsys, command, *PRODUCT_ARGS)
-    assert code == EXIT_USAGE
+    code, _, err = run(capsys, command, *PRODUCT_ARGS)
+    assert (code, err) == (EXIT_OK, "")
 
 
 VALID_ARGS = {
@@ -365,12 +370,18 @@ def test_verify_respects_caps(capsys, monkeypatch):
     code, out, err = run(capsys, "verify", "dims", "--max-n", "10")
     assert (code, out) == (EXIT_CAP, "")
     assert err == "size limit: verify dims set compositions: 109933269 requested, cap 10000000\n"
-    monkeypatch.setenv("TDA_MAX_N", "2")
-    code, out, _ = run(capsys, "verify", "dims", "--seed", "-3")
+    code, out, _ = run(capsys, "verify", "dims", "--max-n", "2", "--seed", "-3")
     assert (code, out.splitlines()[0]) == (EXIT_OK, "PASS [dims] fubini: 1 1 3")
-    monkeypatch.setenv("TDA_MAX_N", "-1")
-    code, _, err = run(capsys, "verify", "dims")
-    assert code == EXIT_USAGE and "TDA_MAX_N='-1' is not a count" in err
+    # only the flags size verify: the environment moves nothing
+    for value in ("2", "-1"):
+        monkeypatch.setenv("TDA_MAX_N", value)
+        monkeypatch.setenv("TDA_MAX_SUPPORT", value)
+        code, out, err = run(capsys, "verify", "dims")
+        assert (code, out.splitlines()[0], err) == (
+            EXIT_OK,
+            "PASS [dims] fubini: 1 1 3 13 75 541",
+            "",
+        )
 
 
 _FIXED_SPACE_6 = "size limit: fixed-space check weight: 6 requested, cap 5\n"

@@ -808,6 +808,25 @@ def test_an_oracle_coproduct_that_drops_its_last_term_is_killed(monkeypatch):
     }
 
 
+# Kill-matrix rows for the oracle's ``represent``, planted over its memo by
+# the name that verify and ``endo_of`` call.
+def _last_block_dropped(sc, universe, real=oracle.represent):
+    return real(SetComposition(sc.sets[:-1]) if len(sc.sets) >= 2 else sc, universe)
+
+
+def _block_order_reversed(sc, universe, real=oracle.represent):
+    return real(SetComposition(sc.sets[::-1]), universe)
+
+
+@pytest.mark.parametrize("kernel, killers", [
+    (_last_block_dropped, {"oracle/composition-agreement", "oracle/convolution-agreement"}),
+    (_block_order_reversed, {"oracle/convolution-agreement"}),
+], ids=["drop-last-block", "reverse-block-order"])
+def test_represent_mutant_is_killed(monkeypatch, kernel, killers):
+    monkeypatch.setattr(oracle, "represent", kernel)
+    assert _killing_laws() == killers
+
+
 def test_a_clean_that_keeps_zero_coefficients_survives_verify_all(monkeypatch):
     # No law of ``verify all`` compares an element in which terms cancel, so
     # none sees a zero coefficient kept.  The element arithmetic test does:

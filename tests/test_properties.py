@@ -176,6 +176,31 @@ def descent_triples(draw):
     )
 
 
+@st.composite
+def descent_elements(draw):
+    comps = list(compositions(draw(st.integers(1, 3))))
+    keys = draw(st.lists(st.sampled_from(comps), max_size=2))
+    return DescentElement({c: draw(st.integers(-1, 1)) for c in keys})
+
+
+def linear_elements():
+    """TDElements, TensorElements and DescentElements, the zero of each among them."""
+    small = elements((1, 2))
+    return st.one_of(small, st.builds(tensor, small, small), descent_elements())
+
+
+@common
+@given(x=linear_elements(), y=st.one_of(linear_elements(), st.sampled_from([0, False, 5])))
+def test_equal_elements_hash_alike(x, y):
+    if x == y:
+        assert hash(x) == hash(y)
+    twin = type(x)(x.terms)
+    assert x == twin and hash(x) == hash(twin)
+    # an element equals only an element of its own type, never a number
+    for number in (0, False, 5):
+        assert x != number and number != x
+
+
 @common
 @given(abc=descent_triples())
 def test_solomon_associative(abc):
