@@ -311,25 +311,33 @@ def parse_ints(text: str, what: str) -> tuple[int, ...]:
     return tuple(map(int, pieces))
 
 
+def _piece_starts(text: str) -> Iterable[int]:
+    """The offset of each comma-separated piece, spaces after its comma skipped."""
+    start = 0
+    for piece in text.split(","):
+        yield start + len(piece) - len(piece.lstrip())
+        start += len(piece) + 1
+
+
 def parse_permutation(text: str) -> tuple[int, ...]:
     """One-line notation, e.g. ``3,1,2``.  The error points at the first entry
     outside 1..n or repeating an earlier one."""
     values = parse_ints(text, "permutation")
-    n, seen, start = len(values), set(), 0
-    for v, piece in zip(values, text.split(",")):
+    n, seen = len(values), set()
+    for v, at in zip(values, _piece_starts(text)):
         if not 0 < v <= n or v in seen:
-            at = start + len(piece) - len(piece.lstrip())
             raise ParseError(f"{values} is not a permutation of 1..{n}", at)
         seen.add(v)
-        start += len(piece) + 1
     return values
 
 
 def parse_composition(text: str) -> tuple[int, ...]:
-    """Comma-separated positive parts, e.g. ``2,1,1``."""
+    """Comma-separated positive parts, e.g. ``2,1,1``.  The error points at
+    the first part below 1."""
     values = parse_ints(text, "composition")
-    if any(v < 1 for v in values):
-        raise ParseError("composition parts must be positive", 0)
+    for v, at in zip(values, _piece_starts(text)):
+        if v < 1:
+            raise ParseError("composition parts must be positive", at)
     return values
 
 

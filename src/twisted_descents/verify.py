@@ -1,9 +1,10 @@
 """Exhaustive and randomized verification suites for every algebraic law.
 
 A suite only declares its laws, as ``(law, cases, check, summary)`` tuples,
-and refuses an oversized plan as it does.  ``run_suite`` declares every suite
-it will run before it sweeps any, so each size guard fires before the first
-case; then it sweeps the laws in order through one engine, ``_sweep``:
+a seeded law with its ``trial`` labels fifth, and refuses an oversized plan
+as it does.  ``run_suite`` declares every suite it will run before it sweeps
+any, so each size guard fires before the first case; then it sweeps the laws
+in order through one engine, ``_sweep``:
 
 - ``cases`` is a lazy iterable of argument tuples.  Seeded draws happen only
   as cases are pulled, so a law that stops early leaves the generator, and the
@@ -11,7 +12,9 @@ case; then it sweeps the laws in order through one engine, ``_sweep``:
 - ``check(*case)`` returns ``None`` when the law holds on the case, else the
   text of a counterexample.
 - The first counterexample wins: the law is reported as ``FAIL`` with that
-  text, and no further case is pulled.
+  text, led by ``trial(i)`` for a seeded law's case i, and no further case is
+  pulled.  An exception raised while case i is drawn or checked fails the law
+  on it, named ``trial(i)`` or ``case i+1``; a ``SizeLimitError`` ends the run.
 - Otherwise the number of cases checked feeds ``summary`` for the ``PASS``
   line.  A law that checked no case at all is ``VACUOUS``: it does not hold.
 
@@ -114,55 +117,40 @@ def _sweep(
     cases: Iterable[tuple],
     check: Callable[..., str | None],
     summary: Callable[[int], str],
+    trial: Callable[[int], str] | None = None,
 ) -> LawResult:
-    """The first counterexample ``check`` finds among ``cases``, else a PASS
-    whose detail is ``summary`` of the number of cases checked, or a VACUOUS
-    result when there was no case.  An exception out of drawing or checking
-    case i fails the law on it; a ``SizeLimitError`` still ends the run."""
+    """The first counterexample ``check`` finds among ``cases``, led by a
+    seeded law's ``trial`` label, else a PASS on ``summary`` of the number of
+    cases checked, or VACUOUS with no case.  ``trial(i)`` or ``case i+1`` names
+    case i (from 0) when it raises; a ``SizeLimitError`` still ends the run."""
     checked = 0
     try:
         for case in cases:
             bad = check(*case)
             if bad is not None:
+                if trial is not None:
+                    bad = f"{trial(checked)}: {bad}"
                 return LawResult(suite, law, False, bad)
             checked += 1
     except SizeLimitError:
         raise
     except Exception as exc:
-        return LawResult(suite, law, False, f"case {checked + 1}: {_raised(exc)}")
+        where = f"case {checked + 1}" if trial is None else trial(checked)
+        return LawResult(suite, law, False, f"{where}: {type(exc).__name__}: {exc}")
     if not checked:
         return LawResult(suite, law, False, f"no case checked ({summary(0)})", vacuous=True)
     return LawResult(suite, law, True, summary(checked))
 
 
 # A law as a suite declares it: the arguments of ``_sweep`` after the suite.
-Law = tuple[str, Iterable[tuple], Callable[..., str | None], Callable[[int], str]]
+_Counted = Callable[[int], str]
+Law = (tuple[str, Iterable[tuple], Callable[..., str | None], _Counted]
+       | tuple[str, Iterable[tuple], Callable[..., str | None], _Counted, _Counted])
 
 
 def _single(law: str, check: Callable[[], str | None], detail: str) -> Law:
     """A law with one fixed case."""
     return law, [()], check, lambda _: detail
-
-
-def _raised(exc: Exception) -> str:
-    return f"{type(exc).__name__}: {exc}"
-
-
-def _trial(check: Callable[..., str | None]) -> Callable[..., str | None]:
-    """``check`` on cases led by a label such as ``trial 3``, which prefixes
-    any counterexample, and any exception but a ``SizeLimitError`` that the
-    check raises."""
-
-    def labelled(label: str, *case) -> str | None:
-        try:
-            bad = check(*case)
-        except SizeLimitError:
-            raise
-        except Exception as exc:
-            bad = _raised(exc)
-        return None if bad is None else f"{label}: {bad}"
-
-    return labelled
 
 
 def _show(**named: SetComposition) -> str:
@@ -199,9 +187,9 @@ def _words(universe: tuple[int, ...]) -> list[SetComposition]:
 
 
 def _random_cases(trials: int, arity: int, draw: Callable, *args) -> Iterable[tuple]:
-    """``trials`` cases of ``arity`` operands ``draw(*args)``, labelled ``trial i``."""
-    for i in range(trials):
-        yield (f"trial {i}", *(draw(*args) for _ in range(arity)))
+    """``trials`` cases of ``arity`` operands ``draw(*args)``."""
+    for _ in range(trials):
+        yield tuple(draw(*args) for _ in range(arity))
 
 
 def _below(rng: random.Random, n: int) -> int:
@@ -280,9 +268,10 @@ def suite_assoc_conv(cfg: Config) -> list[Law]:
 
     return [
         ("associativity", _random_cases(trials, 3, random_element, rng, _ground(n)),
-         _trial(_associative(convolution)), lambda k: f"{k} random triples, support <= {n}"),
-        ("unit", _random_cases(trials, 1, random_element, rng, _ground(n)), _trial(unit),
-         lambda k: f"[] is a two-sided unit ({k} trials)"),
+         _associative(convolution), lambda k: f"{k} random triples, support <= {n}",
+         "trial {}".format),
+        ("unit", _random_cases(trials, 1, random_element, rng, _ground(n)), unit,
+         lambda k: f"[] is a two-sided unit ({k} trials)", "trial {}".format),
         _single("overlap-annihilation",
                 lambda: _unless_zero(convolution(basis([[1, 2]]), basis([[1, 2]]))),
                 "[{1,2}] * [{1,2}] = 0"),
@@ -322,8 +311,8 @@ def suite_assoc_comp(cfg: Config) -> list[Law]:
 
     return [
         ("associativity", _random_cases(trials, 3, random_element, rng, _ground(n)),
-         _trial(_associative(composition_product)),
-         lambda k: f"{k} random triples, support <= {n}"),
+         _associative(composition_product), lambda k: f"{k} random triples, support <= {n}",
+         "trial {}".format),
         ("degreewise-unit",
          ((sub, basis([sub]), basis(sc))
           for sub in _subsets(_ground(unit_n)) if sub for sc in _comps_of(sub)),
@@ -518,21 +507,19 @@ def suite_reciprocity(cfg: Config) -> list[Law]:
     # distinct h expanded by δ once
     def random_triples():
         deltas: dict = {}
-        for label, f, g, h in _random_cases(trials, 3, random_set_composition, rng, ground):
+        for f, g, h in _random_cases(trials, 3, random_set_composition, rng, ground):
             dh = deltas.get(h)
             if dh is None:
                 dh = deltas[h] = coproduct(basis(h))
-            yield label, f, g, h, dh
+            yield f, g, h, dh, *_pair(f, g)
 
     return [
         ("matched-support", matched_triples(), _matched_reciprocity,
          lambda k: f"{k} triples, supp f ⊔ supp g = supp h <= [{n}]"),
         ("all-triples-small", all_triples(), _reciprocity,
          lambda k: f"{k} triples over [{len(small)}]"),
-        # f ∗ g and f ⊗ g are made in the check, under its trial label
-        ("random-triples", random_triples(),
-         _trial(lambda f, g, h, dh: _reciprocity(f, g, h, dh, *_pair(f, g))),
-         lambda _: f"{trials} seeded triples over [{n}]"),
+        ("random-triples", random_triples(), _reciprocity,
+         lambda _: f"{trials} seeded triples over [{n}]", "trial {}".format),
     ]
 
 
@@ -589,7 +576,7 @@ def suite_remarkable(cfg: Config) -> list[Law]:
         ("all-quadruples-small", itertools.product(_words(small), repeat=4),
          _remarkable, lambda k: f"{k} quadruples over [{len(small)}]"),
         ("random-quadruples", _random_cases(trials, 4, random_set_composition, rng, ground),
-         _trial(_remarkable), lambda _: f"{trials} seeded quadruples over [{n}]"),
+         _remarkable, lambda _: f"{trials} seeded quadruples over [{n}]", "trial {}".format),
     ]
 
 
@@ -784,12 +771,15 @@ def suite_equivariance(cfg: Config) -> list[Law]:
     trials = cfg.trial_count(500)
 
     def random_by_degree(draw):
-        """``trials`` drawn cases at each degree 4..n, labelled ``n=m trial i``."""
+        """``trials`` drawn cases at each degree 4..n."""
         for m in range(4, n + 1):
             ground_m = _ground(m)
             perms_m = list(symmetric_group(m))
-            for i in range(trials):
-                yield (f"n={m} trial {i}", *draw(ground_m, perms_m))
+            for _ in range(trials):
+                yield draw(ground_m, perms_m)
+
+    def by_degree(i):  # the label of case i of ``random_by_degree``
+        return f"n={4 + i // trials} trial {i % trials}"
 
     def draw_action(ground_m, perms_m):
         x = basis(random_set_composition(rng, ground_m))
@@ -813,14 +803,13 @@ def suite_equivariance(cfg: Config) -> list[Law]:
          itertools.product([basis(sc) for sc in _words(_ground(small))], perms, perms),
          _right_action, lambda k: f"{k} checks, n <= {small}"),
         # random right-action checks at larger degrees
-        ("right-action-random", random_by_degree(draw_action),
-         _trial(_right_action), lambda _: f"{trials} trials each at n = 4..{n}"),
+        ("right-action-random", random_by_degree(draw_action), _right_action,
+         lambda _: f"{trials} trials each at n = 4..{n}", by_degree),
         # compose-equivariance, exhaustive then random
         ("compose-equivariance", exhaustive_products(),
          _compose_equivariant, lambda k: f"{k} checks, n <= {small}"),
-        ("compose-equivariance-random", random_by_degree(draw_product),
-         _trial(_compose_equivariant),
-         lambda _: f"{trials} trials each at n = 4..{n}, full support"),
+        ("compose-equivariance-random", random_by_degree(draw_product), _compose_equivariant,
+         lambda _: f"{trials} trials each at n = 4..{n}, full support", by_degree),
     ]
 
 
@@ -839,7 +828,7 @@ def suite_shuffles(cfg: Config) -> list[Law]:
             yield from ((c, perms) for c in compositions(m))
 
     def dual(c, perms):
-        is_shuffle, _ = sol._partition_tests(interval_partition(c))
+        is_shuffle, _ = sol._partition_tests(c)
         via_compose = {p for p in perms if is_shuffle(p)}
         if via_compose != set(star(descent_class(c)).terms):
             return f"type {c}: compose route and descent route disagree"
@@ -849,7 +838,7 @@ def suite_shuffles(cfg: Config) -> list[Law]:
     # Young factorization: beta in the Young subgroup, tau a shuffle,
     # beta.tau = sigma, for every sigma in S_n; one case per type c
     def factorizes(c):
-        is_shuffle, decompose = sol._partition_tests(interval_partition(c))
+        is_shuffle, decompose = sol._partition_tests(c)
         young = set(young_subgroup(c))
         for sigma in symmetric_group(young_n):
             try:

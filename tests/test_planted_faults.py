@@ -839,6 +839,42 @@ def test_a_clean_that_keeps_zero_coefficients_survives_verify_all(monkeypatch):
         test_algebra.test_element_arithmetic()
 
 
+def _unsigned_mask_products(monkeypatch):
+    """∘'s mask path adding |ca·cb| for each term pair, a lost sign; the
+    returned list collects the left basis key of each mask-path call."""
+    real, calls = algebra._MaskGroup.multiply, []
+
+    def multiply(self, a, ca, acc):
+        calls.append(a)
+        signed = self.coeffs
+        self.coeffs = [abs(cb) for cb in signed]
+        try:
+            real(self, a, abs(ca), acc)
+        finally:
+            self.coeffs = signed
+
+    monkeypatch.setattr(algebra._MaskGroup, "multiply", multiply)
+    return calls
+
+
+def test_a_mask_path_that_loses_signs_survives_solomon_and_fixed_space(monkeypatch):
+    # The orbit sums of weight 4 reach ∘'s mask path, but every coefficient
+    # there is positive, so no law of these suites sees a sign lost.  The ∘
+    # test on E ∘ y, whose terms carry both signs, does.  A law that feeds
+    # the mask path a negative coefficient fails this test: the fault is
+    # then caught, and this becomes a kill-matrix row naming that law.
+    import test_algebra
+
+    calls = _unsigned_mask_products(monkeypatch)
+    cfg = verify.Config(max_n=4)
+    assert all(r.ok for r in verify.run_suite("solomon", cfg))
+    assert len(calls) == 760
+    assert all(r.ok for r in verify.run_suite("fixed-space", cfg))
+    assert len(calls) == 760 + 380
+    with pytest.raises(AssertionError):
+        test_algebra.test_mask_path_cancels_mixed_signs_like_the_all_pairs_loop()
+
+
 # Kill-matrix rows for the descent classes, planted through the name solomon calls.
 def _drop_last_member(c):
     members = list(permutations.descent_class(c))

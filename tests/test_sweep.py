@@ -9,7 +9,7 @@ from twisted_descents.algebra import TDElement, basis
 from twisted_descents.limits import VERIFY_CASE_CAP, SizeLimitError
 from twisted_descents.permutations import symmetric_group
 from twisted_descents.setcomp import SetComposition
-from twisted_descents.verify import Config, _single, _sweep, _trial, run_suite
+from twisted_descents.verify import Config, _single, _sweep, run_suite
 
 
 def _counting(pulled, n):
@@ -84,7 +84,7 @@ def test_a_seeded_random_law_whose_check_raises_keeps_its_trial_label(monkeypatc
     assert remarkable["matched-support"] == (
         "FAIL [remarkable] matched-support: case 1: ValueError: planted"
     )
-    # the random reciprocity triples make f * g in the check, under its label
+    # the random reciprocity triples make f * g as they are drawn, under its label
     [random_triples] = [r for r in run_suite("reciprocity", cfg) if r.law == "random-triples"]
     assert random_triples.line() == (
         "FAIL [reciprocity] random-triples: trial 0: ValueError: planted"
@@ -116,14 +116,48 @@ def test_single_and_trial_helpers():
 
     assert swept(lambda: None) == "PASS [s] law: fixed"
     assert swept(lambda: "got 1") == "FAIL [s] law: got 1"
-    check = _trial(lambda x: None if x else "x=0")
-    assert check("trial 4", 1) is None
-    assert check("trial 4", 0) == "trial 4: x=0"
-    assert _trial(_raising_at(2, KeyError("w")))("trial 4", 2) == "trial 4: KeyError: 'w'"
+
+    def trials(check, cases=None):
+        cases = _counting([], 10) if cases is None else cases
+        return _sweep("s", "law", cases, check, str, "trial {}".format)
+
+    assert trials(lambda i: None).line() == "PASS [s] law: 10"
+    assert trials(lambda i: "x=0" if i == 4 else None).line() == "FAIL [s] law: trial 4: x=0"
+    assert trials(_raising_at(2, KeyError("w"))).line() == "FAIL [s] law: trial 2: KeyError: 'w'"
+
+    def cases():  # raises while it draws case 3, the trial labelled 2
+        yield (0,)
+        yield (1,)
+        raise RuntimeError("no third case")
+
+    result = trials(lambda i: None, cases())
+    assert result.line() == "FAIL [s] law: trial 2: RuntimeError: no third case"
     refusal = SizeLimitError("too big: 9 requested, cap 8", 8, 9)
     with pytest.raises(SizeLimitError) as err:
-        _trial(_raising_at(2, refusal))("trial 4", 2)
+        trials(_raising_at(2, refusal))
     assert err.value is refusal
+
+
+def _raise_planted(*args, **kwargs):
+    raise ValueError("planted")
+
+
+@pytest.mark.parametrize("name, suite, cfg, want", [
+    ("coproduct", "reciprocity", Config(max_n=3, trials=20), {
+        "matched-support": "FAIL [reciprocity] matched-support: case 1: ValueError: planted",
+        "all-triples-small": "FAIL [reciprocity] all-triples-small: case 1: ValueError: planted",
+        "random-triples": "FAIL [reciprocity] random-triples: trial 0: ValueError: planted",
+    }),
+    ("random_set_composition", "equivariance", Config(max_n=4, trials=5), {
+        "right-action-random":
+            "FAIL [equivariance] right-action-random: n=4 trial 0: ValueError: planted",
+    }),
+])
+def test_a_seeded_law_whose_draw_raises_names_the_trial(monkeypatch, name, suite, cfg, want):
+    # the draw raises before the check runs; every other law still passes
+    monkeypatch.setattr(verify, name, _raise_planted)
+    failed = {r.law: r.line() for r in run_suite(suite, cfg) if not r.ok}
+    assert failed == want
 
 
 def test_zero_trials_leave_the_random_associativity_laws_vacuous():

@@ -304,3 +304,16 @@ def test_term_reader_agrees_with_the_scanner():
     for text in ("[{" + "1" * 5000 + "}]", "1" * 5000 + "*[{1}]"):
         assert _read(text) is None
         assert _outcome(parse, text) == _outcome(_scan, text)
+
+
+@pytest.mark.parametrize("text, position", [
+    ("2, 0,1", 3),  # the space after the comma is skipped
+    ("2,-1", 2),
+    ("0,1", 0),
+    ("1,1, \t-3,0", 6),
+])
+def test_a_composition_is_refused_at_its_first_part_below_one(text, position):
+    with pytest.raises(ParseError) as err:
+        parse_composition(text)
+    assert err.value.position == position
+    assert str(err.value) == f"composition parts must be positive (at position {position})"
