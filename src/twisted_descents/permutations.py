@@ -75,15 +75,17 @@ def descent_class(parts: Iterable[int]) -> Iterator[tuple[int, ...]]:
     of [n] of that type, each block chosen from the labels left: lexicographic order.
     """
     c = check_composition(parts)
+    yield from _words(c, (), identity(sum(c)), 0)
 
-    def build(word: tuple[int, ...], left: tuple[int, ...], i: int):
-        if i >= len(c) - 1:  # the last block is the labels that remain
-            yield word + left
-            return
-        for block in itertools.combinations(left, c[i]):
-            yield from build(word + block, tuple([x for x in left if x not in block]), i + 1)
 
-    yield from build((), identity(sum(c)), 0)
+def _words(c: tuple[int, ...], word: tuple[int, ...], left: tuple[int, ...], i: int):
+    # A module-level recursion: a nested one would leave a function <-> cell
+    # reference cycle per call, which only the cyclic collector frees.
+    if i >= len(c) - 1:  # the last block is the labels that remain
+        yield word + left
+        return
+    for block in itertools.combinations(left, c[i]):
+        yield from _words(c, word + block, tuple([x for x in left if x not in block]), i + 1)
 
 
 def shuffles(parts: Iterable[int]) -> Iterator[tuple[int, ...]]:

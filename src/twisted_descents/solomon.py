@@ -161,18 +161,22 @@ def descent_basis_expand(c: Iterable[int], s: Iterable[int]) -> TDElement:
         raise ValueError(f"composition {c} has weight {sum(c)}, set has size {len(ground)}")
     check_size(f"type {c} expansion terms", multinomial(c), MAX_TERMS)
     terms: dict[SetComposition, int] = {}
-    shared: dict[tuple[int, ...], frozenset[int]] = {}
-
-    def rec(blocks: tuple[frozenset[int], ...], left: frozenset[int], i: int):
-        if i == len(c):
-            terms[SetComposition._make(blocks, ground)] = 1
-            return
-        for chosen in itertools.combinations(sorted(left), c[i]):
-            fs = shared.get(chosen) or shared.setdefault(chosen, frozenset(chosen))
-            rec(blocks + (fs,), left - fs, i + 1)
-
-    rec((), ground, 0)
+    _expand(terms, {}, c, ground, (), ground, 0)
     return TDElement._make(terms)
+
+
+def _expand(terms, shared, c, ground, blocks, left, i) -> None:
+    """Add 1 to ``terms`` for each set composition of ``ground`` of type ``c``
+    that begins with ``blocks``, its next block of size ``c[i]`` drawn from
+    ``left``.  ``shared`` maps a sorted block to its one frozenset.  A
+    module-level recursion: a nested one would leave a function <-> cell
+    reference cycle per call, which only the cyclic collector frees."""
+    if i == len(c):
+        terms[SetComposition._make(blocks, ground)] = 1
+        return
+    for chosen in itertools.combinations(sorted(left), c[i]):
+        fs = shared.get(chosen) or shared.setdefault(chosen, frozenset(chosen))
+        _expand(terms, shared, c, ground, blocks + (fs,), left - fs, i + 1)
 
 
 def orbit_sum(c: Iterable[int]) -> TDElement:

@@ -1,3 +1,4 @@
+import gc
 import json
 import re
 import subprocess
@@ -421,6 +422,99 @@ def test_verify_is_deterministic(capsys):
     code2, out2, _ = run(capsys, *args)
     assert (code1, out1) == (code2, out2)
     assert code1 == EXIT_OK
+
+
+@pytest.fixture(params=[True, False], ids=["caller-enabled", "caller-disabled"])
+def collector(request):
+    """The collector as a caller left it before ``main``; its state is put
+    back after the test."""
+    before = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if before else gc.disable)()
+
+
+def test_command_runs_with_the_collector_paused(capsys, monkeypatch, collector):
+    from twisted_descents import verify
+
+    seen = []
+
+    def recording(real):
+        def wrapped(*args, **kwargs):
+            seen.append(gc.isenabled())
+            return real(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(cli, "convolution", recording(cli.convolution))
+    monkeypatch.setattr(verify, "run_suite", recording(verify.run_suite))
+    assert run(capsys, "conv", "[{1}]", "[{2}]")[0] == EXIT_OK
+    assert run(capsys, "verify", "dims", "--max-n", "2")[0] == EXIT_OK
+    assert seen == [False, False]
+    assert gc.isenabled() is collector
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["conv", "[{1}]", "[{2}]"], EXIT_OK),
+    (["verify", "dims", "--max-n", "2"], EXIT_OK),
+    (["conv", "[{1}", "[{2}]"], EXIT_USAGE),  # a parse error
+    (["conv", "[{1}]"], EXIT_USAGE),  # an argparse usage error
+    (["verify", "nope"], EXIT_USAGE),  # an unknown suite
+    (["conv", "--max-terms", "5", "[{1}] + [{2}] + [{3}]", "[{4}] + [{5}]"], EXIT_CAP),
+    (["conv", "--help"], EXIT_OK),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
+def test_main_restores_the_callers_collector(capsys, collector, argv, want):
+    assert run(capsys, *argv)[0] == want
+    assert gc.isenabled() is collector
+
+
+def test_main_restores_the_collector_when_a_command_raises(capsys, monkeypatch, collector):
+    def broken(*args, **kwargs):
+        raise RuntimeError("planted")
+
+    monkeypatch.setattr(cli, "convolution", broken)
+    with pytest.raises(RuntimeError, match="planted"):
+        main(["conv", "[{1}]", "[{2}]"])
+    assert gc.isenabled() is collector
+
+
+def _unreachable_after(fn) -> int:
+    """The objects a cyclic collection frees after ``fn`` ran with the
+    collector off: the reference cycles that ``fn`` left behind."""
+    cli._parser()  # built once per process; its first build is not the command's
+    gc.collect()
+    before = gc.isenabled()
+    gc.disable()
+    try:
+        fn()
+        return gc.collect()
+    finally:
+        (gc.enable if before else gc.disable)()
+
+
+NO_CYCLE_CALLS = [
+    *(argv + fmt for argv in OUTPUT_CALLS for fmt in ([], ["--format", "json"])),
+    ["verify", "shuffles", "--max-n", "4"],
+    ["verify", "solomon", "--max-n", "3"],
+    ["verify", "fixed-space", "--max-n", "3"],
+]
+
+
+@pytest.mark.parametrize("argv", NO_CYCLE_CALLS, ids=lambda argv: " ".join(argv))
+def test_command_leaves_no_reference_cycles(capsys, argv):
+    # the premise of pausing the collector in main: reference counting alone
+    # frees everything a command discards
+    codes = []
+    assert _unreachable_after(lambda: codes.append(main(argv))) == 0
+    assert codes == [EXIT_OK]
+    assert capsys.readouterr().out
+
+
+def test_recursive_enumerations_leave_no_reference_cycles():
+    from twisted_descents.permutations import descent_class
+    from twisted_descents.solomon import descent_basis_expand
+
+    assert _unreachable_after(lambda: list(descent_class((2, 1, 1)))) == 0
+    assert _unreachable_after(lambda: descent_basis_expand((2, 1), [1, 2, 3])) == 0
 
 
 def test_module_entry_point():
